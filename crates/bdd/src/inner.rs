@@ -63,18 +63,11 @@ const HOOK_STRIDE: u32 = 1024;
 /// Smallest unique-table capacity (slots).
 const MIN_TABLE: usize = 1 << 14;
 /// Associativity of the computed cache (a power of two; the probe loop and
-/// set indexing are generic over it). 2 and 4 were benchmarked head-to-head
-/// on the PR-5 protocol (`BENCH_5.json`): 4 ways measured no reachability
-/// win and a table1 regression — a 2-way set is exactly one cache line, and
-/// the extra conflict tolerance did not pay for the second line touched per
-/// probe — so 2 stays as the default. The `leaky-cache` feature drops to a
-/// direct-mapped (1-way) overwrite-on-collision task cache — half the
-/// bytes touched per probe at the price of conflict evictions; the PR-10
-/// protocol (`BENCH_10.json`) decides which one a build ships with.
-#[cfg(not(feature = "leaky-cache"))]
+/// set indexing are generic over it). A 2-way set is exactly one cache
+/// line: 4 ways measured no reachability win and a table1 regression
+/// (`BENCH_5.json`), and a direct-mapped cache never won outside noise
+/// (`BENCH_10.json`).
 const CACHE_WAYS: usize = 2;
-#[cfg(feature = "leaky-cache")]
-const CACHE_WAYS: usize = 1;
 /// Smallest computed-cache capacity (entries, all ways counted).
 const MIN_CACHE: usize = 1 << 14;
 /// Largest computed-cache capacity (entries).
@@ -160,8 +153,7 @@ pub(crate) struct Counters {
     /// `cache_writes`).
     pub cache_puts: u64,
     /// Computed-cache insertions that overwrote a live entry under a
-    /// *different* key (conflict evictions — the "leak" of the leaky task
-    /// cache).
+    /// *different* key (conflict evictions).
     pub cache_evictions: u64,
     /// Dynamic-reorder passes (manual [`Inner::reorder`] calls and
     /// automatic sifting triggers).
@@ -194,8 +186,6 @@ pub(crate) struct Inner {
     pub(crate) fences: Vec<u32>,
     /// The dynamic-reordering policy.
     pub(crate) policy: ReorderPolicy,
-    /// Opt-in DFS relayout at GC/reorder safe points (see [`Inner::gc`]).
-    pub(crate) relayout: bool,
     /// Live-node count at which the next automatic reorder fires
     /// (`usize::MAX` when the policy is `None`). Checked only at the
     /// [`Inner::maybe_gc`] safe point — never mid-recursion, where the
@@ -291,7 +281,6 @@ impl Inner {
             level2var: Vec::new(),
             fences: Vec::new(),
             policy: ReorderPolicy::None,
-            relayout: false,
             reorder_next: usize::MAX,
             table: vec![EMPTY_SLOT; MIN_TABLE],
             cache: vec![EMPTY_ENTRY; MIN_CACHE],
@@ -410,14 +399,6 @@ impl Inner {
 
     pub(crate) fn set_node_limit(&mut self, limit: Option<usize>) {
         self.node_limit = limit;
-    }
-
-    pub(crate) fn set_relayout(&mut self, on: bool) -> bool {
-        std::mem::replace(&mut self.relayout, on)
-    }
-
-    pub(crate) fn relayout_enabled(&self) -> bool {
-        self.relayout
     }
 
     pub(crate) fn set_abort_hook(
@@ -601,27 +582,6 @@ impl Inner {
         self.table = table;
     }
 
-    /// [`Inner::rebuild_table`] but inserting in `order` (a DFS from the
-    /// external roots) instead of node-array order, so under open
-    /// addressing the earliest-visited — hottest — nodes claim their home
-    /// slots and later nodes absorb the probe displacement.
-    fn rebuild_table_ordered(&mut self, new_len: usize, order: &[u32]) {
-        debug_assert!(new_len.is_power_of_two());
-        let mask = new_len - 1;
-        let mut table = vec![EMPTY_SLOT; new_len];
-        for &idx in order {
-            let n = self.nodes[idx as usize];
-            debug_assert!(n.var < VAR_FREE);
-            let hash = node_hash(n.var, n.hi, n.lo);
-            let mut slot = hash as usize & mask;
-            while table[slot] as u32 != NIL {
-                slot = (slot + 1) & mask;
-            }
-            table[slot] = (hash >> 32) << 32 | idx as u64;
-        }
-        self.table = table;
-    }
-
     // ----- computed cache --------------------------------------------------
 
     /// Base index (first way) of a packed key's set: one shift and one mask
@@ -788,17 +748,10 @@ impl Inner {
                 stack.push(idx as u32);
             }
         }
-        // With the relayout opt-in the mark pass doubles as the traversal
-        // that orders the post-GC unique-table rebuild: visiting order ≈
-        // DFS from the external roots.
-        let mut dfs_order: Vec<u32> = Vec::new();
         while let Some(i) = stack.pop() {
             let n = self.nodes[i as usize];
             if n.var >= VAR_FREE {
                 continue;
-            }
-            if self.relayout {
-                dfs_order.push(i);
             }
             for ch in [n.hi >> 1, n.lo >> 1] {
                 if !mark[ch as usize] {
@@ -853,20 +806,7 @@ impl Inner {
         } else {
             self.table.len().max(want)
         };
-        if self.relayout {
-            // DFS relayout (DESIGN.md §16). Node *indices* are handle
-            // identity and can never move while external `Bdd`s embed them,
-            // so the pass relocates what can move: unique-table slots are
-            // assigned in traversal order (first-come wins its home slot
-            // under the locality hash, so hot upper nodes probe shortest),
-            // and the free list is flipped so recycling fills the lowest
-            // slots first — allocation packs the node array front instead
-            // of scattering into the tail.
-            self.free.reverse();
-            self.rebuild_table_ordered(table_len, &dfs_order);
-        } else {
-            self.rebuild_table(table_len);
-        }
+        self.rebuild_table(table_len);
         self.adapt_cache_after_gc();
         self.gc_threshold = (live * 2).max(1 << 16);
         #[cfg(feature = "sanitize")]

@@ -104,9 +104,9 @@ pub struct BddStats {
     /// Computed-cache insertions (cumulative).
     pub cache_puts: u64,
     /// Computed-cache insertions that overwrote a live entry holding a
-    /// *different* key — the conflict "leak" of the leaky task cache. A
-    /// faithful memo table would keep both entries; this kernel trades the
-    /// colder one for bounded memory and hot sets that fit in L2/L3.
+    /// *different* key (conflict evictions). A faithful memo table would
+    /// keep both entries; this kernel trades the colder one for bounded
+    /// memory and hot sets that fit in L2/L3.
     pub cache_evictions: u64,
     /// Cache entries examined by GC sweeps (cumulative).
     pub cache_swept_entries: u64,
@@ -707,29 +707,6 @@ impl BddManager {
         self.with_inner_ref(|i| i.policy())
     }
 
-    /// Enables or disables the DFS relayout pass and returns the previous
-    /// setting.
-    ///
-    /// When enabled, every garbage collection additionally (1) rebuilds the
-    /// unique table by inserting nodes in mark-traversal (≈ DFS from the
-    /// external roots) order, so the hottest nodes win their home slots
-    /// under the locality-preserving hash, and (2) reverses the free list
-    /// so reclaimed slots are reused lowest-index-first, packing subsequent
-    /// allocations into the dense front of the node array. Node indices —
-    /// and therefore all [`Bdd`] handles — never move; the pass only
-    /// relocates table slots and steers future allocation, so it is purely
-    /// a performance knob with no semantic effect (and must never enter a
-    /// result signature).
-    pub fn set_relayout(&self, on: bool) -> bool {
-        self.0.drain_pending();
-        self.0.inner.borrow_mut().set_relayout(on)
-    }
-
-    /// Whether the DFS relayout pass is enabled.
-    pub fn relayout(&self) -> bool {
-        self.with_inner_ref(|i| i.relayout_enabled())
-    }
-
     /// Runs one Rudell sifting pass now, regardless of the policy, and
     /// returns the live-node delta (negative = the store shrank). The
     /// computed cache is flushed; every [`Bdd`] handle stays valid.
@@ -1033,42 +1010,6 @@ mod tests {
             g = g.and(&lit);
         }
         assert_eq!(before, g);
-    }
-
-    #[test]
-    fn relayout_preserves_semantics_across_gc() {
-        let mgr = BddManager::new();
-        assert!(!mgr.set_relayout(true), "relayout must default off");
-        assert!(mgr.relayout());
-        let vars = mgr.new_vars(10);
-        let mut f = mgr.zero();
-        for pair in vars.chunks(2) {
-            f = f.or(&pair[0].xor(&pair[1]));
-        }
-        let count = f.sat_count(10);
-        {
-            // Garbage, so the GC sweep has slots to free and the reversed
-            // free list actually reorders recycling.
-            let mut junk = mgr.one();
-            for v in &vars {
-                junk = junk.and(&v.or(&vars[0]));
-            }
-        }
-        mgr.collect_garbage();
-        assert_eq!(f.sat_count(10), count);
-        // Hash consing must still find the identical nodes through the
-        // DFS-ordered table.
-        let mut g = mgr.zero();
-        for pair in vars.chunks(2) {
-            g = g.or(&pair[0].xor(&pair[1]));
-        }
-        assert_eq!(f, g);
-        // New allocations recycle the reversed free list; build fresh
-        // structure and collect again to exercise both paths twice.
-        let h = f.and(&vars[0]);
-        mgr.collect_garbage();
-        assert_eq!(h, f.and(&vars[0]));
-        assert!(mgr.set_relayout(false));
     }
 
     #[test]

@@ -93,33 +93,17 @@ fn banked_counters(
     (parts, quantify, map, init)
 }
 
-/// Fused-schedule ablation: the multi-cluster reachability workload with
-/// the compile-time fused schedule (default), the classic per-call chain
-/// (`fusion: false` — the serial baseline), parallel fusion workers, and
-/// the restrict-based image cache.
+/// The multi-cluster reachability workload on the compile-time fused
+/// schedule, serial and with parallel fusion workers.
 fn bench_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("quant_sched/fused");
     group.sample_size(10);
-    let variants: [(&str, ImageOptions); 4] = [
-        (
-            "classic",
-            ImageOptions {
-                fusion: false,
-                ..Default::default()
-            },
-        ),
+    let variants: [(&str, ImageOptions); 2] = [
         ("fused", ImageOptions::default()),
         (
             "fused-jobs4",
             ImageOptions {
                 jobs: 4,
-                ..Default::default()
-            },
-        ),
-        (
-            "fused-restrict",
-            ImageOptions {
-                use_restrict: true,
                 ..Default::default()
             },
         ),

@@ -7,13 +7,11 @@
 //! With `--gc-each-step` a full garbage collection is forced after every
 //! fixed-point iteration — the stress case for a GC-surviving computed
 //! cache (a cache cleared on collection re-derives the whole previous
-//! frontier's work each iteration). `--relayout` additionally arms the
-//! post-GC DFS relayout pass (`BddManager::set_relayout`), the
-//! cache-locality ablation.
+//! frontier's work each iteration).
 //!
 //! ```text
 //! cargo run --release -p langeq-bench --bin cachestats -- \
-//!     [--latches N] [--seed S] [--gc-each-step] [--relayout]
+//!     [--latches N] [--seed S] [--gc-each-step]
 //! ```
 
 use langeq_bdd::{Bdd, BddManager, VarId};
@@ -71,9 +69,7 @@ fn print_stats(stats: &langeq_bdd::BddStats, dt: std::time::Duration) {
         100.0 * stats.gc_survival_rate()
     );
     // The overwrite-on-collision rate: how much work the cache throws away
-    // to stay flat. High under `--features leaky-cache` (one way, every
-    // collision overwrites); the 2-way default only evicts when both ways
-    // of a set are taken.
+    // to stay flat (a 2-way set only evicts when both ways are taken).
     let eviction_rate = if stats.cache_puts > 0 {
         100.0 * stats.cache_evictions as f64 / stats.cache_puts as f64
     } else {
@@ -115,21 +111,18 @@ fn main() {
     let mut latches = 14usize;
     let mut seed = 77u64;
     let mut gc_each_step = false;
-    let mut relayout = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--latches" => latches = args.next().unwrap().parse().unwrap(),
             "--seed" => seed = args.next().unwrap().parse().unwrap(),
             "--gc-each-step" => gc_each_step = true,
-            "--relayout" => relayout = true,
             "--solver" => return solver_mode(),
             other => panic!("unknown flag {other}"),
         }
     }
     let net = gen::random_controller(&gen::ControllerCfg::new("cs", seed, 4, 2, latches));
     let mgr = BddManager::new();
-    mgr.set_relayout(relayout);
     let pis: Vec<_> = (0..net.num_inputs()).map(|_| mgr.new_var()).collect();
     let mut cs = Vec::new();
     let mut ns = Vec::new();

@@ -110,13 +110,10 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
         .limits(limits(p)?)
         .reorder(reorder(p)?)
         .cancel_token(crate::sigint::install());
-    // Throughput-only knobs: neither changes the computed CSF (see the
+    // Throughput-only knob: never changes the computed CSF (see the
     // `signature_excludes_performance_knobs` contract in langeq-core).
     if let Some(jobs) = p.number::<usize>("image-jobs")? {
         request = request.image_jobs(jobs);
-    }
-    if p.flag("image-restrict") {
-        request = request.image_restrict(true);
     }
     if p.flag("progress") {
         request = request.on_progress(progress_printer());
@@ -129,7 +126,7 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
 
 /// `langeq solve --spec <net> --split K,... [--flow partitioned|monolithic|algorithm1]
 /// [--mono] [--reorder none|sifting|sifting:N] [--timeout S] [--node-limit N]
-/// [--max-states N] [--image-jobs N] [--image-restrict] [--progress]
+/// [--max-states N] [--image-jobs N] [--progress]
 /// [--verify] [--stats] [-o csf.aut]`.
 pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     let p = scan(
@@ -154,7 +151,6 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         "flow",
         "reorder",
         "image-jobs",
-        "image-restrict",
         "mono",
         "progress",
         "verify",
@@ -233,7 +229,6 @@ pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
         "strategy",
         "reorder",
         "image-jobs",
-        "image-restrict",
         "progress",
         "verify",
         "minimize",

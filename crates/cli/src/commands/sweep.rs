@@ -49,7 +49,6 @@ const KNOWN: &[&str] = &[
     "max-states",
     "reorder",
     "image-jobs",
-    "image-restrict",
     "jobs",
     "budget",
     "journal",
@@ -87,11 +86,6 @@ fn plan_from_manifest(p: &Parsed, path: &str) -> Result<SuitePlan, CliError> {
                 "--{opt} conflicts with a manifest; declare it in `{path}` instead"
             )));
         }
-    }
-    if p.flag("image-restrict") {
-        return Err(CliError::Usage(format!(
-            "--image-restrict conflicts with a manifest; declare image-restrict=on in `{path}` instead"
-        )));
     }
     load_manifest(Path::new(path)).map_err(|e| CliError::Run(format!("{path}: {e}")))
 }
@@ -136,9 +130,6 @@ fn plan_from_files(p: &Parsed, files: &[String]) -> Result<SuitePlan, CliError> 
             .reorder(reorder);
         if let Some(jobs) = image_jobs {
             config = config.image_jobs(jobs);
-        }
-        if p.flag("image-restrict") {
-            config = config.image_restrict(true);
         }
         plan = plan.config(config);
     }
@@ -215,7 +206,7 @@ fn progress_printer() -> impl FnMut(&SuiteEvent) {
 
 /// `langeq sweep <manifest.sweep | net...> [--split K,...] [--flows f,f]
 /// [--timeout S] [--node-limit N] [--max-states N]
-/// [--reorder none|sifting|sifting:N] [--image-jobs N] [--image-restrict]
+/// [--reorder none|sifting|sifting:N] [--image-jobs N]
 /// [--jobs N] [--budget S]
 /// [--journal PATH | --store DIR] [--resume] [--json] [--progress]`.
 ///

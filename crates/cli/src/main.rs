@@ -52,7 +52,6 @@ Solver commands:
         [--reorder none|sifting|sifting:N] (dynamic BDD variable reordering)
         [--timeout SECS] [--node-limit N] [--max-states N]
         [--image-jobs N] (parallel partition-cluster image workers)
-        [--image-restrict] (restrict image conjuncts to the from-set)
         [--progress] [--verify] [-o csf.aut] [--stats]
   extract --spec <net> --split K,...  CSF → deterministic Mealy sub-solution
         [--strategy lexmin|first|selfloop] [--minimize]
@@ -61,7 +60,7 @@ Solver commands:
   sweep <net...> --split K,K,...      work-stealing pool and a JSONL journal
         [--flows part,mono,...] [--timeout SECS] [--node-limit N]
         [--reorder none|sifting|sifting:N] (or per-config reorder= in the manifest)
-        [--image-jobs N] [--image-restrict] (or image-jobs=/image-restrict= per config)
+        [--image-jobs N] (or image-jobs= per config)
         [--jobs N] [--budget SECS] [--journal PATH | --store DIR] [--resume]
         [--json] [--progress]
 

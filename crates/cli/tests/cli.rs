@@ -554,8 +554,20 @@ fn usage_errors_exit_2() {
     // Missing required option.
     let out = langeq(&dir, &["solve", "--spec", "fig3.bench"]);
     assert_eq!(out.status.code(), Some(2));
-    // Unknown option.
+    // Unknown option, including a removed one.
     let out = langeq(&dir, &["info", "fig3.bench", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = langeq(
+        &dir,
+        &[
+            "solve",
+            "--spec",
+            "fig3.bench",
+            "--split",
+            "1",
+            "--image-restrict",
+        ],
+    );
     assert_eq!(out.status.code(), Some(2));
     // Wrong arity.
     let out = langeq(&dir, &["equivalent", "one.aut"]);
@@ -563,9 +575,13 @@ fn usage_errors_exit_2() {
     // Unknown extension.
     let out = langeq(&dir, &["info", "file.xyz"]);
     assert_eq!(out.status.code(), Some(2));
-    // Missing file is a run error (3).
+    // Missing file is a run error (3), and so is a malformed one.
     let out = langeq(&dir, &["info", "missing.bench"]);
     assert_eq!(out.status.code(), Some(3));
+    std::fs::write(dir.join("dup.bench"), "INPUT(i)\nINPUT(i)\n").unwrap();
+    let out = langeq(&dir, &["info", "dup.bench"]);
+    assert_eq!(out.status.code(), Some(3));
+    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
 }
 
 const MINI_SWEEP: &str = "\

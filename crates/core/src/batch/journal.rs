@@ -215,7 +215,7 @@ fn decode_kernel(obj: &Json) -> Option<KernelSample> {
         cache_hits: field("cache_hits")?,
         cache_survived: field("cache_survived")?,
         cache_swept: field("cache_swept")?,
-        // Absent in journals written before the leaky-cache counters
+        // Absent in journals written before the put/eviction counters
         // existed; zero keeps those records resumable.
         cache_puts: field("cache_puts").unwrap_or(0),
         cache_evictions: field("cache_evictions").unwrap_or(0),

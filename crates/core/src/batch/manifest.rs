@@ -24,7 +24,7 @@
 //!
 //! # config <name> [flow=partitioned|monolithic|algorithm1] [trim=on|off]
 //! #               [reorder=none|sifting|sifting:THRESHOLD]
-//! #               [image-jobs=N] [image-restrict=on|off]
+//! #               [image-jobs=N]
 //! #               [timeout=SECS] [node-limit=N] [max-states=N]
 //! config part flow=partitioned
 //! config mono flow=monolithic timeout=60
@@ -371,18 +371,6 @@ fn parse_config<'a>(
             "image-jobs" => {
                 spec.image.jobs = parse_number::<usize>(lineno, key, value)?;
             }
-            "image-restrict" => {
-                spec.image.use_restrict = match value {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => {
-                        return Err(ManifestError::at(
-                            lineno,
-                            format!("bad image-restrict value `{value}` (on|off)"),
-                        ));
-                    }
-                };
-            }
             "timeout" => {
                 limits.time_limit = Some(Duration::from_secs(parse_number(lineno, key, value)?));
             }
@@ -472,26 +460,17 @@ config sift flow=partitioned reorder=sifting:5000
     }
 
     #[test]
-    fn image_jobs_and_restrict_parse() {
+    fn image_jobs_parse() {
         let plan = parse_manifest(
             "instance a gen:figure3\n\
-             config par flow=partitioned image-jobs=4 image-restrict=on\n\
-             config ser flow=partitioned image-jobs=1 image-restrict=off\n",
+             config par flow=partitioned image-jobs=4\n\
+             config ser flow=partitioned\n",
             Path::new("."),
         )
         .unwrap();
         assert_eq!(plan.configs()[0].image.jobs, 4);
-        assert!(plan.configs()[0].image.use_restrict);
+        // Default: serial.
         assert_eq!(plan.configs()[1].image.jobs, 1);
-        assert!(!plan.configs()[1].image.use_restrict);
-        // Defaults: serial, no restrict cache.
-        let plain = parse_manifest(
-            "instance a gen:figure3\nconfig c flow=partitioned\n",
-            Path::new("."),
-        )
-        .unwrap();
-        assert_eq!(plain.configs()[0].image.jobs, 1);
-        assert!(!plain.configs()[0].image.use_restrict);
     }
 
     #[test]
@@ -530,10 +509,7 @@ config sift flow=partitioned reorder=sifting:5000
             ("config c timeout=soon", "bad number"),
             ("config c verbose", "not key=value"),
             ("config c image-jobs=many", "bad number"),
-            (
-                "config c image-restrict=sideways",
-                "bad image-restrict value",
-            ),
+            ("config c image-restrict=on", "unknown config option"),
         ];
         for (text, needle) in bad {
             let text = format!("\n{text}\n");

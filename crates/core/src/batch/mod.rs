@@ -135,14 +135,6 @@ impl ConfigSpec {
         self
     }
 
-    /// Enables the restrict-based image cache (cluster functions are
-    /// restricted against the accumulated from-set before each
-    /// conjoin/quantify step).
-    pub fn image_restrict(mut self, on: bool) -> Self {
-        self.image.use_restrict = on;
-        self
-    }
-
     /// The configured solver, type-erased (constructed per cell, inside the
     /// worker that runs it).
     pub fn solver(&self) -> Box<dyn Solver> {

@@ -203,17 +203,6 @@ mod tests {
             );
         }
 
-        // The restrict-based image cache: also a pure evaluation-strategy
-        // knob — the computed result is identical either way.
-        let (i, c) = base();
-        assert_eq!(cell_signature(&i, &c.image_restrict(true)), sig0);
-
-        // The fused-schedule ablation switch and every other ImageOptions
-        // field that leaves results untouched.
-        let (i, mut c) = base();
-        c.image.fusion = false;
-        assert_eq!(cell_signature(&i, &c), sig0);
-
         // cluster_threshold and the quantification schedule change the
         // *evaluation order*, never the computed result — the signature
         // deliberately excludes ImageOptions wholesale.

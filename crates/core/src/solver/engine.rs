@@ -306,14 +306,6 @@ impl SolveRequest {
         self
     }
 
-    /// Enables the restrict-based image cache (partitioned flow only):
-    /// cluster functions are restricted against the accumulated from-set
-    /// before each conjoin/quantify step.
-    pub fn image_restrict(mut self, on: bool) -> Self {
-        self.image.use_restrict = on;
-        self
-    }
-
     /// Dynamic variable reordering for the run (partitioned and monolithic
     /// flows; the explicit Algorithm-1 pipeline stays static). The policy
     /// is armed on the equation's manager for the duration of the solve

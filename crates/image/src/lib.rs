@@ -51,9 +51,7 @@
 //! The fixpoint loops of [`reachable`]/[`backward_reachable`] amortise the
 //! one-time fusion over every iteration. The "quantify only at the end"
 //! mode ([`QuantSchedule::Late`]) is kept as the ablation baseline for the
-//! benchmark suite, and [`ImageOptions::fusion`] can switch the fused
-//! schedule off entirely (the serial-baseline ablation switch — not
-//! plumbed through configs, manifests, or signatures).
+//! benchmark suite.
 //!
 //! ```
 //! use langeq_bdd::BddManager;
@@ -109,16 +107,6 @@ pub struct ImageOptions {
     /// result, and the coordinator's operation sequence are identical for
     /// every value. `0` is treated as `1`.
     pub jobs: usize,
-    /// Restrict each cluster against the accumulated from-set before the
-    /// conjoin/quantify step (`C|acc ∧ acc = C ∧ acc`, Coudert–Madre), so
-    /// the apply walks the generalised-cofactor form whose sub-results the
-    /// computed cache re-finds across fixpoint iterations.
-    pub use_restrict: bool,
-    /// Compile the fused schedule (pre-quantification + chunk products).
-    /// The `false` setting is the serial-baseline ablation switch for the
-    /// benchmark suite; it is deliberately not plumbed through configs,
-    /// manifests, the serve body, or signatures.
-    pub fusion: bool,
 }
 
 impl Default for ImageOptions {
@@ -127,8 +115,6 @@ impl Default for ImageOptions {
             schedule: QuantSchedule::Early,
             cluster_threshold: 1000,
             jobs: 1,
-            use_restrict: false,
-            fusion: true,
         }
     }
 }
@@ -219,7 +205,6 @@ pub struct ImageComputer {
     fused: Option<Fused>,
     quantify: Vec<VarId>,
     schedule: QuantSchedule,
-    use_restrict: bool,
 }
 
 /// This crate's sanitize failure funnel (same diagnostic shape as
@@ -580,7 +565,7 @@ fn build_fused(
 
 impl ImageComputer {
     /// Compiles a partitioned relation into an ordered, clustered schedule
-    /// (and, with [`ImageOptions::fusion`], the fused variant).
+    /// (and, under [`QuantSchedule::Early`], the fused variant).
     ///
     /// * `parts` — the conjuncts of the transition relation,
     /// * `quantify` — variables to existentially quantify (inputs and
@@ -621,7 +606,7 @@ impl ImageComputer {
         let pset: BTreeSet<VarId> = protected.iter().copied().collect();
         let conjuncts: Vec<Cluster> = parts.iter().map(|p| Cluster::of(p.clone())).collect();
         let clusters = order_and_cluster(conjuncts, &qset, opts.cluster_threshold);
-        let fused = if opts.schedule == QuantSchedule::Early && opts.fusion {
+        let fused = if opts.schedule == QuantSchedule::Early {
             build_fused(mgr, &clusters, &quantify, &pset, &opts)
         } else {
             None
@@ -633,7 +618,6 @@ impl ImageComputer {
             fused,
             quantify,
             schedule: opts.schedule,
-            use_restrict: opts.use_restrict,
         }
     }
 
@@ -693,12 +677,7 @@ impl ImageComputer {
         for (k, (cluster, cube)) in sched.clusters.iter().zip(&sched.step_cubes).enumerate() {
             let sp = langeq_obs::span!("image.cluster", idx = k);
             let t0 = Instant::now();
-            let func = if self.use_restrict {
-                cluster.func.restrict(&acc)
-            } else {
-                cluster.func.clone()
-            };
-            acc = self.mgr.and_exists(&acc, &func, cube);
+            acc = self.mgr.and_exists(&acc, &cluster.func, cube);
             cluster_seconds().observe_ns(t0.elapsed().as_nanos() as u64);
             drop(sp);
             if acc.is_zero() || self.mgr.abort_reason().is_some() {
@@ -906,14 +885,6 @@ mod tests {
                 cluster_threshold: 1,
                 ..Default::default()
             },
-            ImageOptions {
-                fusion: false,
-                ..Default::default()
-            },
-            ImageOptions {
-                use_restrict: true,
-                ..Default::default()
-            },
         ] {
             let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
             let got = img.image(&init);
@@ -1012,26 +983,6 @@ mod tests {
             reachable(&img, &init, &map),
             reachable(&unprotected, &init, &map),
             "protection changes strategy, never results"
-        );
-    }
-
-    #[test]
-    fn restrict_mode_matches_on_banked_reachability() {
-        let mgr = BddManager::new();
-        let (parts, quantify, map, init) = banked(&mgr, 2, 2);
-        let plain = ImageComputer::new(&mgr, &parts, &quantify, ImageOptions::default());
-        let restricting = ImageComputer::new(
-            &mgr,
-            &parts,
-            &quantify,
-            ImageOptions {
-                use_restrict: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            reachable(&plain, &init, &map),
-            reachable(&restricting, &init, &map)
         );
     }
 
@@ -1177,9 +1128,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         /// Random small partitioned relations: the fused schedule at
-        /// several job counts, the classic chain, and the restrict mode
-        /// must all agree with the naive conjoin-then-quantify reference
-        /// on a random from-cube.
+        /// several job counts, and the classic chain it falls back to on a
+        /// from-set naming an eliminated variable, must all agree with the
+        /// naive conjoin-then-quantify reference on a random from-cube.
         #[test]
         fn random_networks_agree_across_modes(
             seed in 0u64..1u64 << 48,
@@ -1198,14 +1149,15 @@ mod tests {
                 from = from.and(&if x >> 62 & 1 == 1 { lit.not() } else { lit });
             }
             let want = naive_image(&mgr, &parts, &quantify, &from);
-            for opts in [
-                ImageOptions { cluster_threshold: 6, jobs: 1, ..Default::default() },
-                ImageOptions { cluster_threshold: 6, jobs: 4, ..Default::default() },
-                ImageOptions { cluster_threshold: 6, fusion: false, ..Default::default() },
-                ImageOptions { cluster_threshold: 6, use_restrict: true, ..Default::default() },
-            ] {
+            for jobs in [1, 4] {
+                let opts = ImageOptions { cluster_threshold: 6, jobs, ..Default::default() };
                 let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
                 proptest::prop_assert_eq!(&img.image(&from), &want);
+                if let Some(&v) = img.fused.as_ref().and_then(|f| f.hazard.iter().next()) {
+                    let hazard = from.and(&mgr.var(v));
+                    let want = naive_image(&mgr, &parts, &quantify, &hazard);
+                    proptest::prop_assert_eq!(&img.image(&hazard), &want);
+                }
             }
         }
     }

@@ -37,6 +37,7 @@ pub fn parse(text: &str) -> Result<Network, NetworkError> {
         let upper = line.to_ascii_uppercase();
         if upper.starts_with("INPUT(") {
             let name = inner_arg(line, lineno)?;
+            n.check_undriven(&name, lineno)?;
             n.add_input(&name);
         } else if upper.starts_with("OUTPUT(") {
             let name = inner_arg(line, lineno)?;
@@ -48,10 +49,13 @@ pub fn parse(text: &str) -> Result<Network, NetworkError> {
                 line: lineno,
                 msg: format!("expected `func(args)` after `=`, got `{rhs}`"),
             })?;
-            let close = rhs.rfind(')').ok_or_else(|| NetworkError::Parse {
-                line: lineno,
-                msg: "missing `)`".into(),
-            })?;
+            let close = rhs
+                .rfind(')')
+                .filter(|&close| close > open)
+                .ok_or_else(|| NetworkError::Parse {
+                    line: lineno,
+                    msg: "missing `)` after `(`".into(),
+                })?;
             let func = rhs[..open].trim().to_ascii_uppercase();
             let args: Vec<String> = rhs[open + 1..close]
                 .split(',')
@@ -76,6 +80,7 @@ pub fn parse(text: &str) -> Result<Network, NetworkError> {
                     msg: format!("DFF takes one argument, got {}", args.len()),
                 });
             }
+            n.check_undriven(target, *lineno)?;
             let (idx, _) = n.add_latch(target, false);
             let data = n.net(&args[0]);
             n.set_latch_data(idx, data);
@@ -263,12 +268,21 @@ y = BUFF(q)
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let err = parse("INPUT(a)\nbogus line\n").unwrap_err();
-        assert!(matches!(err, NetworkError::Parse { line: 2, .. }));
-        let err = parse("INPUT(a)\ny = FROB(a)\n").unwrap_err();
-        assert!(matches!(err, NetworkError::Parse { line: 2, .. }));
-        let err = parse("INPUT(a)\nq = DFF(a, a)\n").unwrap_err();
-        assert!(matches!(err, NetworkError::Parse { line: 2, .. }));
+        for (text, line) in [
+            ("INPUT(a)\nbogus line\n", 2),
+            ("INPUT(a)\ny = FROB(a)\n", 2),
+            ("INPUT(a)\nq = DFF(a, a)\n", 2),
+            // Redeclared nets and a `)` before its `(`: errors, not panics.
+            ("INPUT(i)\nINPUT(i)\n", 2),
+            ("INPUT(i)\nOUTPUT(i)\ni = DFF(i)\n", 3),
+            ("INPUT(i)\nq = DFF(i)\nq = DFF(i)\n", 3),
+            ("INPUT(i)\nns = )AND(i, cs\n", 2),
+        ] {
+            match parse(text) {
+                Err(NetworkError::Parse { line: got, .. }) => assert_eq!(got, line, "{text:?}"),
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

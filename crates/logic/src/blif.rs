@@ -77,6 +77,7 @@ pub fn parse(text: &str) -> Result<Network, NetworkError> {
                 }
                 "inputs" => {
                     for a in args {
+                        n.check_undriven(a, *lineno)?;
                         n.add_input(a);
                     }
                 }
@@ -152,7 +153,8 @@ pub fn parse(text: &str) -> Result<Network, NetworkError> {
     }
 
     // Latches first (so their outputs are driven before covers reference them).
-    for (_, data, out, init) in &latches {
+    for (lineno, data, out, init) in &latches {
+        n.check_undriven(out, *lineno)?;
         let (idx, _) = n.add_latch(out, *init);
         let d = n.net(data);
         n.set_latch_data(idx, d);
@@ -446,6 +448,20 @@ mod tests {
         let text = ".model m\n.inputs d\n.outputs q\n.latch d q re clk 1\n.end\n";
         let n = parse(text).unwrap();
         assert_eq!(n.initial_state(), vec![true]);
+    }
+
+    #[test]
+    fn redeclared_nets_are_errors_not_panics() {
+        for (text, line) in [
+            (".model m\n.inputs a a\n.end\n", 2),
+            (".model m\n.inputs a\n.latch a a\n.end\n", 3),
+            (".model m\n.inputs a\n.latch a q\n.latch a q\n.end\n", 4),
+        ] {
+            match parse(text) {
+                Err(NetworkError::Parse { line: got, .. }) => assert_eq!(got, line, "{text:?}"),
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -295,6 +295,19 @@ impl Network {
         self.by_name.get(name).copied()
     }
 
+    /// A parse error at `line` when `name` already has a driver: the text
+    /// parsers check this before [`add_input`](Self::add_input) and
+    /// [`add_latch`](Self::add_latch), which panic on a redefinition.
+    pub(crate) fn check_undriven(&self, name: &str, line: usize) -> Result<(), NetworkError> {
+        match self.find_net(name).and_then(|id| self.driver(id)) {
+            Some(_) => Err(NetworkError::Parse {
+                line,
+                msg: format!("net `{name}` defined twice"),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// The name of a net.
     pub fn net_name(&self, id: NetId) -> &str {
         &self.nets[id.index()].name

@@ -425,8 +425,8 @@ struct Metrics {
     jobs_cancelled: Counter,
     kernel_cache_lookups: Counter,
     kernel_cache_hits: Counter,
-    /// Computed-cache entries overwritten on collision (the leaky-cache
-    /// eviction rate across fresh solves; see `BddStats::cache_evictions`).
+    /// Computed-cache entries overwritten on collision across fresh
+    /// solves (see `BddStats::cache_evictions`).
     task_cache_evictions: Counter,
     /// Solves this daemon routed to their ring owner.
     forwards: Counter,
@@ -722,6 +722,9 @@ impl Server {
         let mut threads = Vec::new();
         for _ in 0..workers {
             let shared = Arc::clone(&shared);
+            // Counted live from spawn, not from its first scheduling, so
+            // `/readyz` is ready as soon as `start` returns.
+            shared.live_workers.fetch_add(1, Ordering::Relaxed);
             threads.push(std::thread::spawn(move || worker_loop(&shared)));
         }
         {
@@ -1969,14 +1972,11 @@ fn parse_solve_request(body: &str) -> Result<(InstanceSpec, ConfigSpec), String>
     if let Some(policy) = json.get("reorder").and_then(Json::as_str) {
         config = config.reorder(policy.parse().map_err(|e| format!("reorder: {e}"))?);
     }
-    // Throughput-only knobs: deliberately OUTSIDE the cell signature, so a
+    // Throughput-only knob: deliberately OUTSIDE the cell signature, so a
     // cached result answers a request no matter what worker count the
     // client asked for.
     if let Some(jobs) = json.get("image_jobs").and_then(Json::as_u64) {
         config = config.image_jobs(jobs as usize);
-    }
-    if let Some(on) = json.get("image_restrict").and_then(Json::as_bool) {
-        config = config.image_restrict(on);
     }
     let mut limits = SolverLimits::default();
     if let Some(secs) = json.get("timeout").and_then(Json::as_u64) {
@@ -1998,14 +1998,14 @@ fn parse_solve_request(body: &str) -> Result<(InstanceSpec, ConfigSpec), String>
 fn worker_loop(shared: &Arc<Shared>) {
     /// Keeps the live-worker gauge honest on *every* exit path — if a
     /// worker ever dies (contained panics never kill one, but readiness
-    /// must not trust that), `/readyz` sees the count drop.
+    /// must not trust that), `/readyz` sees the count drop. The spawner
+    /// counted this worker in.
     struct Alive<'a>(&'a AtomicU64);
     impl Drop for Alive<'_> {
         fn drop(&mut self) {
             self.0.fetch_sub(1, Ordering::Relaxed);
         }
     }
-    shared.live_workers.fetch_add(1, Ordering::Relaxed);
     let _alive = Alive(&shared.live_workers);
     loop {
         let (id, cell, work, token) = {

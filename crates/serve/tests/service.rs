@@ -183,6 +183,10 @@ fn malformed_and_oversized_requests_are_rejected() {
         ("{\"source\":\"gen:warp\"}", "unknown generator"),
         ("{\"source\":\"/etc/passwd\"}", "gen:NAME"),
         ("{\"network\":\"INPUT(i)\\n\"}", "split"),
+        (
+            "{\"network\":\"INPUT(i)\\nINPUT(i)\\n\",\"split\":[0]}",
+            "line 2",
+        ),
         ("not json", "request body"),
     ] {
         let (status, answer) = langeq_serve::http::call(
@@ -211,7 +215,7 @@ fn malformed_and_oversized_requests_are_rejected() {
     assert_eq!(status, 400, "{answer}");
     assert!(answer.contains("gen:NAME sources"), "{answer}");
 
-    assert!(client.metric("langeq_bad_requests_total").unwrap() >= 8);
+    assert!(client.metric("langeq_bad_requests_total").unwrap() >= 9);
     assert_eq!(client.metric("langeq_jobs_accepted_total").unwrap(), 0);
     server.shutdown();
 }

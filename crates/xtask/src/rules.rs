@@ -423,9 +423,32 @@ fn split_tokens(hay: &str) -> Vec<(usize, &str)> {
     out
 }
 
+/// `--flag` mentions in `hay`: a `--` not glued to a preceding flag or
+/// identifier byte, followed by a flag name that starts alphanumeric.
+fn long_flags(hay: &str, path: &str, src: &str, seen: &mut Vec<Seen>) {
+    let bytes = hay.as_bytes();
+    let flag_byte = |b: u8| is_ident(b) || b == b'-';
+    for at in occurrences(hay, "--") {
+        if at > 0 && flag_byte(bytes[at - 1]) {
+            continue;
+        }
+        let start = at + 2;
+        if !bytes.get(start).is_some_and(u8::is_ascii_alphanumeric) {
+            continue;
+        }
+        let mut end = start;
+        while end < bytes.len() && flag_byte(bytes[end]) {
+            end += 1;
+        }
+        record(seen, &hay[start..end], path, line_of(src, at));
+    }
+}
+
 /// Every CLI `--flag` the parser accepts must be documented in the usage
-/// text, README, or DESIGN.md. (Single-letter keys like `-o` are out of
-/// scope — the rule tracks long flags.)
+/// text, README, or DESIGN.md, and every `--flag` the CLI's own text
+/// mentions must be accepted by some command (`--help` is dispatched by
+/// `main`). (Single-letter keys like `-o` are out of scope — the rule
+/// tracks long flags.)
 pub fn flags_docs(ws: &Workspace) -> Vec<Violation> {
     let mut code: Vec<Seen> = Vec::new();
     for f in &ws.files {
@@ -463,6 +486,27 @@ pub fn flags_docs(ws: &Workspace) -> Vec<Violation> {
                 msg: format!(
                     "CLI flag `--{}` is accepted but documented nowhere",
                     s.token
+                ),
+            });
+        }
+    }
+    let mut mentioned: Vec<Seen> = Vec::new();
+    for f in &ws.files {
+        if f.rel.starts_with("crates/cli/src/") && !f.test_tier {
+            let mut masked = f.views.strings.clone();
+            mask_test_spans(f, &mut masked);
+            long_flags(&masked, &f.rel, &f.text, &mut mentioned);
+        }
+    }
+    for m in &mentioned {
+        if m.token != "help" && !code.iter().any(|s| s.token == m.token) {
+            out.push(Violation {
+                rule: "flags-docs",
+                path: m.path.clone(),
+                line: m.line,
+                msg: format!(
+                    "CLI text mentions `--{}` but no command accepts it",
+                    m.token
                 ),
             });
         }

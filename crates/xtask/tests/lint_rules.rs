@@ -351,6 +351,34 @@ fn flag_documentation_must_match_exactly() {
 }
 
 #[test]
+fn cli_text_naming_an_unaccepted_flag_is_caught() {
+    // The usage string still advertises `--gamma` after the parser dropped it.
+    let fx = Fixture::new().file(
+        "crates/cli/src/main.rs",
+        concat!(
+            "pub fn usage() -> &'static str { \"demo --alpha [--gamma] [--help]\" }\n",
+            "pub fn parse(p: &mut Parser) { p.reject_unknown(&[\"alpha\"]); }\n",
+        ),
+    );
+    let out = fx.lint();
+    assert_eq!(rules(&out), ["flags-docs"], "{out:?}");
+    assert!(out[0].msg.contains("--gamma"), "{out:?}");
+}
+
+#[test]
+fn cli_test_code_may_name_unaccepted_flags() {
+    let fx = Fixture::new().file(
+        "crates/cli/src/main.rs",
+        concat!(
+            "pub fn usage() -> &'static str { \"demo --alpha [--help]\" }\n",
+            "pub fn parse(p: &mut Parser) { p.reject_unknown(&[\"alpha\"]); }\n",
+            "#[cfg(test)]\nmod tests {\n    const GONE: &str = \"--gamma\";\n}\n",
+        ),
+    );
+    assert!(fx.lint().is_empty());
+}
+
+#[test]
 fn fault_gated_names_need_guards() {
     let fx = Fixture::new().file(
         "crates/demo/src/lib.rs",
