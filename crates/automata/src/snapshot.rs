@@ -125,6 +125,16 @@ impl<'a> Cursor<'a> {
             .map_err(|_| SnapshotError::Truncated)?;
         Ok(u64::from_le_bytes(b))
     }
+
+    /// Fails unless `count` records of at least `min_bytes` each can still
+    /// follow: a count read from the input bounds an allocation only after
+    /// this check.
+    fn fits(&self, count: usize, min_bytes: usize) -> Result<(), SnapshotError> {
+        match count.checked_mul(min_bytes) {
+            Some(n) if n <= self.bytes.len() - self.pos => Ok(()),
+            _ => Err(SnapshotError::Truncated),
+        }
+    }
 }
 
 /// Loads a snapshot into a fresh [`BddManager`] (which the returned
@@ -159,6 +169,7 @@ pub fn load_into(mgr: &BddManager, bytes: &[u8]) -> Result<Automaton, SnapshotEr
         return Err(SnapshotError::BadVersion(version));
     }
     let nalpha = c.u32()? as usize;
+    c.fits(nalpha, 4)?;
     let mut alphabet = Vec::with_capacity(nalpha);
     for _ in 0..nalpha {
         alphabet.push(VarId(c.u32()?));
@@ -173,6 +184,7 @@ pub fn load_into(mgr: &BddManager, bytes: &[u8]) -> Result<Automaton, SnapshotEr
             )))
         }
     };
+    c.fits(nstates, 5)?;
     let mut states = Vec::with_capacity(nstates);
     for k in 0..nstates {
         let accepting = c.take(1)?[0] != 0;
@@ -183,6 +195,7 @@ pub fn load_into(mgr: &BddManager, bytes: &[u8]) -> Result<Automaton, SnapshotEr
         states.push((accepting, name));
     }
     let ntrans = c.u32()? as usize;
+    c.fits(ntrans, 8)?;
     let mut endpoints = Vec::with_capacity(ntrans);
     for k in 0..ntrans {
         let (from, to) = (c.u32()?, c.u32()?);
@@ -201,18 +214,22 @@ pub fn load_into(mgr: &BddManager, bytes: &[u8]) -> Result<Automaton, SnapshotEr
             c.bytes.len() - c.pos
         )));
     }
+    // `save` writes the saving manager's whole level map, so every alphabet
+    // variable is below the blob's `nvars` — and loading the blob creates
+    // exactly those variables in `mgr`.
+    let nvars = bdd_snapshot::peek(blob)?.nvars;
+    if let Some(v) = alphabet.iter().find(|v| v.0 as usize >= nvars) {
+        return Err(SnapshotError::Malformed(format!(
+            "alphabet variable {} out of range ({nvars} variables)",
+            v.0
+        )));
+    }
     let labels = bdd_snapshot::load(mgr, blob)?;
     if labels.len() != ntrans {
         return Err(SnapshotError::Malformed(format!(
             "blob carries {} labels for {ntrans} transitions",
             labels.len()
         )));
-    }
-    // The alphabet may mention variables no label's cone touches; make sure
-    // they exist in the target manager before the automaton adopts them.
-    let max_var = alphabet.iter().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-    while mgr.num_vars() < max_var {
-        mgr.new_var();
     }
 
     let mut aut = Automaton::new(mgr, &alphabet);
@@ -304,5 +321,42 @@ mod tests {
         // Magic damage also trips the checksum-before-parse order is magic
         // first: the error names the real problem.
         assert_eq!(load(&wrong_magic).unwrap_err(), SnapshotError::BadMagic);
+    }
+
+    /// Header counts and alphabet ids are checked against the input before
+    /// anything is allocated for them; the checksum is no guard, since
+    /// anyone can compute it.
+    #[test]
+    fn crafted_counts_are_rejected_before_allocating() {
+        fn sealed(words: &[u32], tail: &[u8]) -> Vec<u8> {
+            let mut out = MAGIC.to_vec();
+            push_u32(&mut out, SNAPSHOT_VERSION);
+            for &w in words {
+                push_u32(&mut out, w);
+            }
+            out.extend_from_slice(tail);
+            let checksum = fnv1a64(&out);
+            out.extend_from_slice(&checksum.to_le_bytes());
+            out
+        }
+        let empty_blob = bdd_snapshot::save(&BddManager::new(), &[]);
+        let mut blob_tail = (empty_blob.len() as u64).to_le_bytes().to_vec();
+        blob_tail.extend_from_slice(&empty_blob);
+        let unset = u32::MAX;
+        let crafted = [
+            // 4 Gi alphabet entries.
+            sealed(&[u32::MAX], &[]),
+            // 4 Gi states.
+            sealed(&[0, u32::MAX, unset], &[]),
+            // 4 Gi transitions.
+            sealed(&[0, 0, unset, u32::MAX], &[]),
+            // An alphabet variable far beyond the blob's (empty) level map.
+            sealed(&[1, 50_000_000, 0, unset, 0], &blob_tail),
+        ];
+        for bytes in &crafted {
+            let mgr = BddManager::new();
+            assert!(load_into(&mgr, bytes).is_err(), "{} bytes", bytes.len());
+            assert_eq!(mgr.num_vars(), 0, "no variables created");
+        }
     }
 }

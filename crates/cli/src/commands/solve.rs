@@ -62,8 +62,7 @@ fn progress_printer() -> impl FnMut(&SolveEvent) {
     const REDRAW: Duration = Duration::from_millis(100);
     let start = Instant::now();
     let mut last_draw: Option<Instant> = None;
-    let (mut states, mut frontier, mut images, mut gc) = (0usize, 0usize, 0usize, 0u64);
-    let mut hit_rate = 0.0f64;
+    let (mut states, mut frontier, mut images) = (0usize, 0usize, 0usize);
     move |event| match event {
         SolveEvent::Started { kind } => {
             eprintln!("[solve] {kind} flow started");
@@ -76,28 +75,18 @@ fn progress_printer() -> impl FnMut(&SolveEvent) {
             frontier = *f;
         }
         SolveEvent::ImageComputed { total } => images = *total,
-        SolveEvent::GcPass { gc_runs, .. } => gc = *gc_runs,
-        SolveEvent::CacheSample {
-            cache_lookups,
-            cache_hits,
-            ..
-        } => {
-            if *cache_lookups > 0 {
-                hit_rate = 100.0 * *cache_hits as f64 / *cache_lookups as f64;
-            }
-        }
-        // Each checkpoint ends with a PeakNodes sample, so drawing here
+        // Each checkpoint ends with a kernel snapshot, so drawing here
         // prints one internally consistent line per checkpoint.
-        SolveEvent::PeakNodes {
-            live_nodes,
-            peak_live_nodes,
-        } => {
+        SolveEvent::Kernel(k) => {
             if last_draw.is_none_or(|t| t.elapsed() >= REDRAW) {
                 last_draw = Some(Instant::now());
                 eprintln!(
                     "[solve] states {states}  frontier {frontier}  images {images}  \
-                     live nodes {live_nodes} (peak {peak_live_nodes})  gc {gc}  \
-                     cache {hit_rate:.0}%  t {:.1}s",
+                     live nodes {} (peak {})  gc {}  cache {:.0}%  t {:.1}s",
+                    k.live_nodes,
+                    k.peak_live_nodes,
+                    k.gc_runs,
+                    100.0 * k.cache_hit_rate(),
                     start.elapsed().as_secs_f64()
                 );
             }
@@ -169,17 +158,17 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
             "subset states {}  images {}  peak live nodes {}  time {:.2}s",
             sol.stats.subset_states,
             sol.stats.images,
-            sol.stats.peak_live_nodes,
+            sol.stats.kernel.peak_live_nodes,
             sol.stats.duration.as_secs_f64()
         );
         println!(
             "bdd kernel: cache hit rate {:.1}%  gc survival {:.1}%  avg probe length {:.2}  \
              reorders {} (node delta {})",
-            100.0 * sol.stats.cache_hit_rate,
-            100.0 * sol.stats.gc_survival_rate,
-            sol.stats.avg_probe_length,
-            sol.stats.reorders,
-            sol.stats.reorder_node_delta
+            100.0 * sol.stats.kernel.cache_hit_rate(),
+            100.0 * sol.stats.kernel.gc_survival_rate(),
+            sol.stats.kernel.avg_probe_length(),
+            sol.stats.kernel.reorders,
+            sol.stats.kernel.reorder_node_delta
         );
     }
     let mut ok = true;

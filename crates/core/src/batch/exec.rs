@@ -209,7 +209,7 @@ pub enum SuiteEvent {
         worker: usize,
     },
     /// A periodic kernel-stats snapshot of a *running* cell (throttled; the
-    /// final snapshot is delivered in the finished cell's
+    /// last snapshot is delivered in the finished cell's
     /// [`CellReport::kernel`]). Long-lived consumers — the serve layer's
     /// per-job progress endpoint — use this to show live solve health.
     CellSample {
@@ -450,27 +450,8 @@ fn run_cell(
                 let mut last_sent: Option<Instant> = None;
                 let mut ctrl = Control::new().with_token(token.clone()).with_observer(
                     move |event: &SolveEvent| {
-                        if let SolveEvent::CacheSample {
-                            cache_lookups,
-                            cache_hits,
-                            cache_survived,
-                            cache_swept,
-                            cache_puts,
-                            cache_evictions,
-                            unique_probes,
-                            unique_lookups,
-                        } = *event
-                        {
-                            let sample = KernelSample {
-                                cache_lookups,
-                                cache_hits,
-                                cache_survived,
-                                cache_swept,
-                                cache_puts,
-                                cache_evictions,
-                                unique_probes,
-                                unique_lookups,
-                            };
+                        if let SolveEvent::Kernel(stats) = event {
+                            let sample = KernelSample::from(stats);
                             sink.set(Some(sample));
                             let now = Instant::now();
                             if last_sent.is_none_or(|t| now.duration_since(t) >= SAMPLE_PERIOD) {
@@ -500,7 +481,7 @@ fn run_cell(
                                 subset_states: sol.stats.subset_states,
                                 transitions: sol.stats.transitions,
                                 images: sol.stats.images,
-                                peak_live_nodes: sol.stats.peak_live_nodes,
+                                peak_live_nodes: sol.stats.kernel.peak_live_nodes,
                             }),
                             true,
                         )

@@ -77,23 +77,12 @@ impl CellReport {
                 base.set("status", "failed").set("error", message.as_str())
             }
         };
-        // The final kernel counters ride along when the cell was actually
-        // attempted. Deterministic for a fresh manager, so they sit before
-        // `duration_ns` — inside the region the byte-determinism contract
-        // covers.
+        // The kernel counters of the last control point ride along when the
+        // cell was actually attempted. Deterministic for a fresh manager, so
+        // they sit before `duration_ns` — inside the region the
+        // byte-determinism contract covers.
         let with_kernel = match &self.kernel {
-            Some(k) => with_outcome.set(
-                "kernel",
-                Json::obj()
-                    .set("cache_lookups", k.cache_lookups)
-                    .set("cache_hits", k.cache_hits)
-                    .set("cache_survived", k.cache_survived)
-                    .set("cache_swept", k.cache_swept)
-                    .set("cache_puts", k.cache_puts)
-                    .set("cache_evictions", k.cache_evictions)
-                    .set("unique_probes", k.unique_probes)
-                    .set("unique_lookups", k.unique_lookups),
-            ),
+            Some(k) => with_outcome.set("kernel", k.to_json()),
             None => with_outcome,
         };
         // The provenance flags matter to `--json` consumers (a replayed or
@@ -148,7 +137,7 @@ impl CellReport {
             .unwrap_or_default()
             .to_string();
         // Optional: absent in records journaled before the field existed.
-        let kernel = record.get("kernel").and_then(decode_kernel);
+        let kernel = record.get("kernel").and_then(KernelSample::from_json);
         let trace = record
             .get("trace")
             .and_then(Json::as_str)
@@ -208,20 +197,38 @@ fn sanitize_record(r: &CellReport) {
     }
 }
 
-fn decode_kernel(obj: &Json) -> Option<KernelSample> {
-    let field = |name: &str| obj.get(name)?.as_u64();
-    Some(KernelSample {
-        cache_lookups: field("cache_lookups")?,
-        cache_hits: field("cache_hits")?,
-        cache_survived: field("cache_survived")?,
-        cache_swept: field("cache_swept")?,
-        // Absent in journals written before the put/eviction counters
-        // existed; zero keeps those records resumable.
-        cache_puts: field("cache_puts").unwrap_or(0),
-        cache_evictions: field("cache_evictions").unwrap_or(0),
-        unique_probes: field("unique_probes")?,
-        unique_lookups: field("unique_lookups")?,
-    })
+impl KernelSample {
+    /// The `kernel` object of a journal record — also the `kernel` object
+    /// of the daemon's job status body and slow-log record.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("cache_lookups", self.cache_lookups)
+            .set("cache_hits", self.cache_hits)
+            .set("cache_survived", self.cache_survived)
+            .set("cache_swept", self.cache_swept)
+            .set("cache_puts", self.cache_puts)
+            .set("cache_evictions", self.cache_evictions)
+            .set("unique_probes", self.unique_probes)
+            .set("unique_lookups", self.unique_lookups)
+    }
+
+    /// Parses a [`to_json`](Self::to_json) object; `None` when a required
+    /// counter is missing.
+    pub fn from_json(obj: &Json) -> Option<KernelSample> {
+        let field = |name: &str| obj.get(name)?.as_u64();
+        Some(KernelSample {
+            cache_lookups: field("cache_lookups")?,
+            cache_hits: field("cache_hits")?,
+            cache_survived: field("cache_survived")?,
+            cache_swept: field("cache_swept")?,
+            // Absent in journals written before the put/eviction counters
+            // existed; zero keeps those records resumable.
+            cache_puts: field("cache_puts").unwrap_or(0),
+            cache_evictions: field("cache_evictions").unwrap_or(0),
+            unique_probes: field("unique_probes")?,
+            unique_lookups: field("unique_lookups")?,
+        })
+    }
 }
 
 fn encode_cnc(reason: &CncReason) -> (&'static str, u64) {
@@ -290,6 +297,18 @@ mod tests {
 
     #[test]
     fn records_round_trip() {
+        // A round trip alone survives a key renamed on both sides; the
+        // bytes of a solved record are the journal format itself.
+        assert_eq!(
+            solved_report().to_json().to_string(),
+            "{\"v\":1,\"cell\":3,\"instance\":\"sim_s510\",\"config\":\"mono\",\
+             \"flow\":\"monolithic\",\"sig\":\"net=sim_s510/19/7/6;split=[3,4,5];flow=monolithic\",\
+             \"status\":\"solved\",\"csf_states\":54,\"subset_states\":60,\"transitions\":212,\
+             \"images\":44,\"peak_live_nodes\":9123,\"kernel\":{\"cache_lookups\":120000,\
+             \"cache_hits\":45000,\"cache_survived\":900,\"cache_swept\":4000,\"cache_puts\":60000,\
+             \"cache_evictions\":1200,\"unique_probes\":300000,\"unique_lookups\":250000},\
+             \"resumed\":false,\"retryable\":false,\"duration_ns\":412345}"
+        );
         let cases = vec![
             solved_report(),
             CellReport {

@@ -42,7 +42,7 @@ mod exec;
 
 use std::time::Duration;
 
-use langeq_bdd::ReorderPolicy;
+use langeq_bdd::{BddStats, ReorderPolicy};
 use langeq_image::ImageOptions;
 use langeq_logic::Network;
 
@@ -280,15 +280,20 @@ pub struct CellStats {
     pub peak_live_nodes: usize,
 }
 
-/// The final BDD-kernel cache/table counters of a cell's (fresh) manager —
-/// the last [`SolveEvent::CacheSample`](crate::SolveEvent) observed during
-/// the solve. Captured for *every* attempted cell, including CNC ones, so a
-/// sweep's journal records how hard the kernel worked even on the cells
-/// that did not finish.
+/// The journal's record of a cell's BDD-kernel cache/table counters: the
+/// eight deterministic counters of the last
+/// [`SolveEvent::Kernel`](crate::SolveEvent) snapshot the solve emitted.
+/// That snapshot comes from the solve's last control point — for the
+/// subset-construction flows, before the last explored state's images and
+/// the CSF extraction — so it undercounts the end of the run. Captured for
+/// *every* attempted cell, including CNC ones, so a sweep's journal records
+/// how hard the kernel worked even on the cells that did not finish.
 ///
 /// All counters are cumulative over the cell's manager, and — because every
 /// cell runs on a fresh, thread-confined manager — deterministic for a
-/// given cell regardless of worker count.
+/// given cell regardless of worker count. That is why this is a projection
+/// and not the whole [`BddStats`]: a resumed report must equal the fresh
+/// one, and fields such as `reorder_time` are wall clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelSample {
     /// Computed-cache lookups.
@@ -308,6 +313,21 @@ pub struct KernelSample {
     pub unique_probes: u64,
     /// Unique-table lookups.
     pub unique_lookups: u64,
+}
+
+impl From<&BddStats> for KernelSample {
+    fn from(stats: &BddStats) -> Self {
+        KernelSample {
+            cache_lookups: stats.cache_lookups,
+            cache_hits: stats.cache_hits,
+            cache_survived: stats.cache_surviving_entries,
+            cache_swept: stats.cache_swept_entries,
+            cache_puts: stats.cache_puts,
+            cache_evictions: stats.cache_evictions,
+            unique_probes: stats.unique_probes,
+            unique_lookups: stats.unique_lookups,
+        }
+    }
 }
 
 impl KernelSample {
@@ -351,9 +371,10 @@ pub struct CellReport {
     pub sig: String,
     /// How the cell ended.
     pub outcome: CellOutcome,
-    /// The final kernel cache/table counters of the cell's manager (`None`
-    /// for cells that were never attempted — drained, budget-starved — and
-    /// for records journaled before this field existed).
+    /// The kernel cache/table counters of the cell's last control point
+    /// (`None` for cells that were never attempted — drained,
+    /// budget-starved — and for records journaled before this field
+    /// existed).
     pub kernel: Option<KernelSample>,
     /// Wall-clock time of the cell (for resumed cells: the journaled
     /// original solve time).

@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use langeq_bdd::BddStats;
+
 use crate::solver::SolverKind;
 
 /// A shareable cancellation flag.
@@ -52,8 +54,9 @@ impl CancelToken {
 /// Events stream to the observer registered with
 /// [`Control::with_observer`] (or
 /// [`SolveRequest::on_progress`](crate::SolveRequest::on_progress)). Within
-/// one solve, `discovered`, `total`, and `peak_live_nodes` are monotonically
-/// non-decreasing.
+/// one solve, `discovered`, `total`, and the kernel's cumulative counters
+/// (`peak_live_nodes`, `gc_runs`, the cache and unique-table counts) are
+/// monotonically non-decreasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveEvent {
     /// The solve started.
@@ -74,42 +77,10 @@ pub enum SolveEvent {
         /// Images computed so far in this solve.
         total: usize,
     },
-    /// The BDD engine ran one or more garbage-collection passes since the
-    /// last sample.
-    GcPass {
-        /// Cumulative GC passes of the manager.
-        gc_runs: u64,
-        /// Live nodes after the collection.
-        live_nodes: usize,
-    },
-    /// Periodic sample of the BDD engine's size.
-    PeakNodes {
-        /// Live nodes right now.
-        live_nodes: usize,
-        /// High-water mark of live nodes.
-        peak_live_nodes: usize,
-    },
-    /// Periodic sample of the BDD kernel's cache/table health (cumulative
-    /// counters; all monotonically non-decreasing within one solve).
-    CacheSample {
-        /// Computed-cache lookups so far.
-        cache_lookups: u64,
-        /// Computed-cache hits so far.
-        cache_hits: u64,
-        /// Cache entries that survived GC sweeps so far.
-        cache_survived: u64,
-        /// Cache entries examined by GC sweeps so far.
-        cache_swept: u64,
-        /// Computed-cache insertions so far.
-        cache_puts: u64,
-        /// Computed-cache conflict evictions (insertions overwriting a live
-        /// entry under a different key) so far.
-        cache_evictions: u64,
-        /// Unique-table probe steps so far.
-        unique_probes: u64,
-        /// Unique-table lookups so far.
-        unique_lookups: u64,
-    },
+    /// Snapshot of the BDD kernel at a control point (once per explored
+    /// subset state and between pipeline phases). Its counters are
+    /// cumulative over the manager's lifetime.
+    Kernel(BddStats),
 }
 
 /// A boxed progress callback (the form observers travel in between the

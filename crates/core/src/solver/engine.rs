@@ -160,8 +160,6 @@ impl Solver for Algorithm1 {
         // The explicit pipeline keeps the static order: its per-state BDD
         // work is tiny and a mid-pipeline reorder would only add noise to
         // the cross-validation baseline.
-        let reorders_at_begin = eq.manager().stats().reorders;
-        let reorder_delta_at_begin = eq.manager().stats().reorder_node_delta;
         let mut sess = Session::begin(
             eq.manager(),
             self.limits,
@@ -179,22 +177,7 @@ impl Solver for Algorithm1 {
         })
         .and_then(|generic| {
             sess.ensure_clean()?;
-            let bdd_stats = eq.manager().stats();
-            let stats = crate::solver::SolverStats {
-                subset_states: generic.general.num_states(),
-                transitions: generic.general.num_transitions(),
-                images: 0,
-                duration: sess.elapsed(),
-                peak_live_nodes: bdd_stats.peak_live_nodes,
-                cache_hit_rate: bdd_stats.cache_hit_rate(),
-                gc_survival_rate: bdd_stats.gc_survival_rate(),
-                avg_probe_length: bdd_stats.avg_probe_length(),
-                // This run's share (always 0 with the pinned static order,
-                // but deltaed like Session::finish so a reorder-heavy run
-                // on the same manager is never misattributed here).
-                reorders: bdd_stats.reorders - reorders_at_begin,
-                reorder_node_delta: bdd_stats.reorder_node_delta - reorder_delta_at_begin,
-            };
+            let stats = sess.stats(&generic.general);
             Ok(crate::solver::Solution {
                 general: generic.general,
                 prefix_closed: generic.prefix_closed,

@@ -27,7 +27,7 @@ use langeq_automata::Automaton;
 pub use control::{CancelToken, Control, SolveEvent};
 pub use engine::{Algorithm1, Monolithic, Partitioned, SolveRequest, Solver};
 
-use langeq_bdd::ReorderPolicy;
+use langeq_bdd::{BddStats, ReorderPolicy};
 use langeq_image::ImageOptions;
 
 /// Which solver produced a result (for reporting).
@@ -178,20 +178,10 @@ pub struct SolverStats {
     pub images: usize,
     /// Wall-clock time of the solve.
     pub duration: Duration,
-    /// Peak live BDD nodes observed by the manager during the run.
-    pub peak_live_nodes: usize,
-    /// Computed-cache hit rate of the equation's manager at the end of the
-    /// run, in `[0, 1]` (cumulative over the manager's lifetime).
-    pub cache_hit_rate: f64,
-    /// Fraction of computed-cache entries that survived the manager's GC
-    /// sweeps, in `[0, 1]` (0.0 when no GC ran).
-    pub gc_survival_rate: f64,
-    /// Mean unique-table probe length of the manager (1.0 = perfect hash).
-    pub avg_probe_length: f64,
-    /// Dynamic-reorder passes the manager ran during the solve.
-    pub reorders: u64,
-    /// Cumulative live-node delta of those passes (negative = shrank).
-    pub reorder_node_delta: i64,
+    /// The equation manager's kernel snapshot at the end of the solve
+    /// (cumulative over the manager's lifetime, so a solve on a fresh
+    /// manager reports exactly its own work).
+    pub kernel: BddStats,
 }
 
 /// The result of a successful solve.

@@ -36,11 +36,7 @@ pub(crate) struct Session<'c> {
     /// The reorder policy that was active before this session armed the
     /// run's own; restored on drop.
     prev_reorder: ReorderPolicy,
-    /// Reorder counters at `begin`, so the stats report this run's share.
-    reorders_at_begin: u64,
-    reorder_delta_at_begin: i64,
     images: usize,
-    last_gc_runs: u64,
 }
 
 impl<'c> Session<'c> {
@@ -66,8 +62,6 @@ impl<'c> Session<'c> {
             token.is_cancelled() || deadline.is_some_and(|d| Instant::now() >= d)
         })));
         let prev_reorder = mgr.set_reorder_policy(reorder);
-        let begin_stats = mgr.stats();
-        let last_gc_runs = begin_stats.gc_runs;
         ctrl.emit(SolveEvent::Started { kind });
         Session {
             ctrl,
@@ -78,15 +72,12 @@ impl<'c> Session<'c> {
             prev_node_limit,
             prev_hook,
             prev_reorder,
-            reorders_at_begin: begin_stats.reorders,
-            reorder_delta_at_begin: begin_stats.reorder_node_delta,
             images: 0,
-            last_gc_runs,
         }
     }
 
     /// Wall-clock time since [`begin`](Self::begin).
-    pub(crate) fn elapsed(&self) -> Duration {
+    fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
@@ -119,10 +110,10 @@ impl<'c> Session<'c> {
     }
 
     /// A control point *between* pipeline phases (no worklist entry was
-    /// popped, so no [`SolveEvent::SubsetState`] is emitted): samples the
-    /// engine and checks abort/cancellation/deadline.
+    /// popped, so no [`SolveEvent::SubsetState`] is emitted): emits a
+    /// [`SolveEvent::Kernel`] snapshot and checks abort/cancellation/deadline.
     pub(crate) fn poll(&mut self) -> Result<(), CncReason> {
-        self.sample_engine();
+        self.ctrl.emit(SolveEvent::Kernel(self.mgr.stats()));
         self.ensure_clean()?;
         if self.ctrl.token().is_cancelled() {
             return Err(CncReason::Cancelled);
@@ -169,19 +160,7 @@ impl<'c> Session<'c> {
         drop(span);
         // The post-processing itself runs under the engine guards too.
         self.ensure_clean()?;
-        let bdd_stats = self.mgr.stats();
-        let stats = SolverStats {
-            subset_states: general.num_states(),
-            transitions: general.num_transitions(),
-            images: self.images,
-            duration: self.elapsed(),
-            peak_live_nodes: bdd_stats.peak_live_nodes,
-            cache_hit_rate: bdd_stats.cache_hit_rate(),
-            gc_survival_rate: bdd_stats.gc_survival_rate(),
-            avg_probe_length: bdd_stats.avg_probe_length(),
-            reorders: bdd_stats.reorders - self.reorders_at_begin,
-            reorder_node_delta: bdd_stats.reorder_node_delta - self.reorder_delta_at_begin,
-        };
+        let stats = self.stats(&general);
         Ok(Solution {
             general,
             prefix_closed,
@@ -190,41 +169,23 @@ impl<'c> Session<'c> {
         })
     }
 
+    /// This run's statistics for the most general solution `general`, with
+    /// the manager's kernel snapshot as of now.
+    pub(crate) fn stats(&self, general: &Automaton) -> SolverStats {
+        SolverStats {
+            subset_states: general.num_states(),
+            transitions: general.num_transitions(),
+            images: self.images,
+            duration: self.elapsed(),
+            kernel: self.mgr.stats(),
+        }
+    }
+
     /// The duration to report in [`CncReason::Timeout`]: the configured
     /// relative limit when one was set, otherwise the elapsed time at the
     /// moment the control deadline fired.
     fn effective_time_limit(&self) -> Duration {
         self.limits.time_limit.unwrap_or_else(|| self.elapsed())
-    }
-
-    /// Emits [`SolveEvent::PeakNodes`], a [`SolveEvent::CacheSample`] of the
-    /// kernel's cache/table counters, and, when the engine collected since
-    /// the last sample, [`SolveEvent::GcPass`].
-    fn sample_engine(&mut self) {
-        let stats = self.mgr.stats();
-        // CacheSample first: consumers that redraw on PeakNodes (the CLI
-        // progress line) then render one internally consistent snapshot.
-        self.ctrl.emit(SolveEvent::CacheSample {
-            cache_lookups: stats.cache_lookups,
-            cache_hits: stats.cache_hits,
-            cache_survived: stats.cache_surviving_entries,
-            cache_swept: stats.cache_swept_entries,
-            cache_puts: stats.cache_puts,
-            cache_evictions: stats.cache_evictions,
-            unique_probes: stats.unique_probes,
-            unique_lookups: stats.unique_lookups,
-        });
-        self.ctrl.emit(SolveEvent::PeakNodes {
-            live_nodes: stats.live_nodes,
-            peak_live_nodes: stats.peak_live_nodes,
-        });
-        if stats.gc_runs > self.last_gc_runs {
-            self.last_gc_runs = stats.gc_runs;
-            self.ctrl.emit(SolveEvent::GcPass {
-                gc_runs: stats.gc_runs,
-                live_nodes: stats.live_nodes,
-            });
-        }
     }
 }
 

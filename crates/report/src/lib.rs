@@ -130,7 +130,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(JsonError::at(p.pos, "trailing characters"));
@@ -279,6 +279,11 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so an unbounded depth lets
+/// a few kilobytes of `[` overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -313,20 +318,24 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value nested inside `depth` open arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.eat_keyword("null").map(|()| Json::Null),
             Some(b't') => self.eat_keyword("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(JsonError::at(self.pos, "nesting too deep"))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at(self.pos, "expected a value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -336,7 +345,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -349,7 +358,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -363,7 +372,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -585,6 +594,24 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        let err = Json::parse(&over).unwrap_err();
+        assert!(err.message.contains("nesting too deep"), "{err}");
+        // Without the bound, this overflows a 2 MiB stack.
+        let hostile = "[".repeat(100_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&hostile).is_err())
+            .expect("spawn")
+            .join()
+            .expect("parser must not overflow the stack");
+        assert!(parsed);
     }
 
     #[test]

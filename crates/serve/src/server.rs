@@ -1311,14 +1311,7 @@ fn status_json(id: u64, job: &Job) -> Json {
         body = body.set("trace", fmt_id(job.trace));
     }
     if let Some(k) = &job.sample {
-        body = body.set(
-            "kernel",
-            Json::obj()
-                .set("cache_lookups", k.cache_lookups)
-                .set("cache_hits", k.cache_hits)
-                .set("unique_probes", k.unique_probes)
-                .set("unique_lookups", k.unique_lookups),
-        );
+        body = body.set("kernel", k.to_json());
     }
     body
 }
@@ -2157,14 +2150,7 @@ fn observe_phases(
         .set("duration_ms", report.duration.as_millis() as u64)
         .set("phases_ns", breakdown);
     if let Some(k) = &report.kernel {
-        record = record.set(
-            "kernel",
-            Json::obj()
-                .set("cache_lookups", k.cache_lookups)
-                .set("cache_hits", k.cache_hits)
-                .set("unique_probes", k.unique_probes)
-                .set("unique_lookups", k.unique_lookups),
-        );
+        record = record.set("kernel", k.to_json());
     }
     if let Some((trace, _)) = langeq_obs::current() {
         record = record.set("trace", fmt_id(trace));

@@ -292,7 +292,7 @@ fn slow_log_records_fresh_solves() {
     let ack = client
         .submit_solve(&Json::obj().set("source", "gen:figure3"))
         .expect("submit");
-    client.wait(ack.job, POLL, WAIT).expect("solve finishes");
+    let result = client.wait(ack.job, POLL, WAIT).expect("solve finishes");
 
     // The cached repeat must NOT log: the slow log records solves, not
     // cache answers.
@@ -318,9 +318,11 @@ fn slow_log_records_fresh_solves() {
         "the breakdown names the solver phases: {phases}"
     );
     let kernel = record.get("kernel").expect("kernel counters");
-    assert!(
-        kernel.get("cache_lookups").and_then(Json::as_u64).is_some(),
-        "the record carries the solve's kernel sample: {kernel}"
+    let cell = &result.get("cells").and_then(Json::as_arr).expect("cells")[0];
+    assert_eq!(
+        Some(kernel),
+        cell.get("kernel"),
+        "the record carries the solve's journaled kernel sample"
     );
 
     server.shutdown();

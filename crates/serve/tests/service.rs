@@ -178,6 +178,7 @@ fn malformed_and_oversized_requests_are_rejected() {
     assert_eq!(status, 404);
 
     // Semantically broken solve bodies → 400 with a useful message.
+    let deep = "[".repeat(600);
     for (body, needle) in [
         ("{}", "network"),
         ("{\"source\":\"gen:warp\"}", "unknown generator"),
@@ -188,6 +189,7 @@ fn malformed_and_oversized_requests_are_rejected() {
             "line 2",
         ),
         ("not json", "request body"),
+        (deep.as_str(), "nesting too deep"),
     ] {
         let (status, answer) = langeq_serve::http::call(
             &addr,

@@ -107,7 +107,7 @@ fn progress_events_are_monotone_and_complete() {
     );
 
     let (mut last_states, mut last_images, mut last_peak) = (0usize, 0usize, 0usize);
-    let (mut n_states, mut n_images, mut n_peaks, mut n_cache) = (0usize, 0usize, 0usize, 0usize);
+    let (mut n_states, mut n_images, mut n_kernel) = (0usize, 0usize, 0usize);
     let mut last_lookups = 0u64;
     for e in events.iter() {
         match e {
@@ -121,50 +121,41 @@ fn progress_events_are_monotone_and_complete() {
                 last_images = *total;
                 n_images += 1;
             }
-            SolveEvent::PeakNodes {
-                live_nodes,
-                peak_live_nodes,
-            } => {
-                assert!(*peak_live_nodes >= last_peak, "peak went backwards");
-                assert!(live_nodes <= peak_live_nodes, "live exceeds peak");
-                last_peak = *peak_live_nodes;
-                n_peaks += 1;
+            SolveEvent::Kernel(k) => {
+                assert!(k.peak_live_nodes >= last_peak, "peak went backwards");
+                assert!(k.live_nodes <= k.peak_live_nodes, "live exceeds peak");
+                assert!(k.cache_lookups >= last_lookups, "lookups went backwards");
+                assert!(k.cache_hits <= k.cache_lookups, "hits exceed lookups");
+                assert!(k.cache_evictions <= k.cache_puts, "evictions exceed puts");
+                assert!(
+                    k.cache_surviving_entries <= k.cache_swept_entries,
+                    "survivors exceed swept"
+                );
+                assert!(
+                    k.unique_probes >= k.unique_lookups,
+                    "probe count below lookups"
+                );
+                last_peak = k.peak_live_nodes;
+                last_lookups = k.cache_lookups;
+                n_kernel += 1;
             }
-            SolveEvent::CacheSample {
-                cache_lookups,
-                cache_hits,
-                cache_puts,
-                cache_evictions,
-                cache_survived,
-                cache_swept,
-                unique_probes,
-                unique_lookups,
-            } => {
-                assert!(*cache_lookups >= last_lookups, "lookups went backwards");
-                assert!(cache_hits <= cache_lookups, "hits exceed lookups");
-                assert!(cache_evictions <= cache_puts, "evictions exceed puts");
-                assert!(cache_survived <= cache_swept, "survivors exceed swept");
-                assert!(unique_probes >= unique_lookups, "probe count below lookups");
-                last_lookups = *cache_lookups;
-                n_cache += 1;
-            }
-            SolveEvent::GcPass { .. } | SolveEvent::Started { .. } => {}
+            SolveEvent::Started { .. } => {}
         }
     }
-    // One SubsetState + one PeakNodes + one CacheSample per explored state
-    // (the DCN / DCA trap states are synthesized, never explored, hence the
-    // slack of two); the image counter in the events matches the final
-    // statistics.
-    assert_eq!(n_states, n_peaks);
-    assert_eq!(n_states, n_cache);
+    // One SubsetState + one Kernel snapshot per explored state (the DCN /
+    // DCA trap states are synthesized, never explored, hence the slack of
+    // two); the image counter in the events matches the final statistics.
+    assert_eq!(n_states, n_kernel);
     assert!(n_states + 2 >= solution.stats.subset_states);
     assert_eq!(last_images, solution.stats.images);
     assert_eq!(n_images, solution.stats.images);
-    // The kernel health rates thread through to the final statistics.
+    // The kernel snapshot threads through to the final statistics.
+    let kernel = &solution.stats.kernel;
     assert!(last_lookups > 0, "no cache traffic sampled");
-    assert!(solution.stats.cache_hit_rate > 0.0 && solution.stats.cache_hit_rate <= 1.0);
-    assert!((0.0..=1.0).contains(&solution.stats.gc_survival_rate));
-    assert!(solution.stats.avg_probe_length >= 1.0);
+    assert!(kernel.cache_lookups >= last_lookups);
+    assert!(kernel.cache_hit_rate() > 0.0 && kernel.cache_hit_rate() <= 1.0);
+    assert!((0.0..=1.0).contains(&kernel.gc_survival_rate()));
+    assert!(kernel.avg_probe_length() >= 1.0);
 }
 
 #[test]
@@ -263,7 +254,11 @@ fn sifting_solve_matches_static_order_and_restores_the_policy() {
         .run(&p.equation)
         .into_result()
         .expect("sifting solve");
-    assert!(sifted.stats.reorders > 0, "sifting never fired");
+    // Both solves share the manager, whose counters are cumulative.
+    assert!(
+        sifted.stats.kernel.reorders > baseline.stats.kernel.reorders,
+        "sifting never fired"
+    );
     assert!(
         baseline.csf.equivalent(&sifted.csf),
         "reordering changed the answer"
