@@ -1,9 +1,11 @@
 //! The solver commands: `solve` (CSF of a latch split) and `extract`
 //! (CSF → deterministic Mealy sub-solution).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use langeq_core::batch::manifest::resolve_source;
 use langeq_core::extract::{extract_submachine, submachine_to_automaton, SelectionStrategy};
 use langeq_core::verify::verify_latch_split;
 use langeq_core::{
@@ -15,13 +17,20 @@ use crate::commands::{check_cancelled, CancelGuard, CliError};
 use crate::io;
 
 fn build_problem(p: &Parsed) -> Result<LatchSplitProblem, CliError> {
-    let spec_path = p
+    let spec = p
         .value("spec")
-        .ok_or_else(|| CliError::Usage("--spec <network file> is required".into()))?;
+        .ok_or_else(|| CliError::Usage("--spec <network file|gen:NAME> is required".into()))?;
+    // A `gen:` builtin resolves as in manifests and the daemon, and brings
+    // its own split; an explicit `--split` overrides it.
+    let (net, own_split) = if spec.starts_with("gen:") {
+        resolve_source(spec, Path::new(".")).map_err(CliError::Usage)?
+    } else {
+        (io::load_network(spec)?, None)
+    };
     let split = p
         .usize_list("split")?
+        .or(own_split)
         .ok_or_else(|| CliError::Usage("--split K,K,... is required".into()))?;
-    let net = io::load_network(spec_path)?;
     LatchSplitProblem::new(&net, &split)
         .map_err(|e| CliError::Run(format!("latch split failed: {e}")))
 }
@@ -113,7 +122,8 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
         .map_err(|reason| CliError::Run(format!("could not complete: {reason}")))
 }
 
-/// `langeq solve --spec <net> --split K,... [--flow partitioned|monolithic|algorithm1]
+/// `langeq solve --spec <net|gen:NAME> [--split K,...]
+/// [--flow partitioned|monolithic|algorithm1]
 /// [--mono] [--reorder none|sifting|sifting:N] [--timeout S] [--node-limit N]
 /// [--max-states N] [--image-jobs N] [--progress]
 /// [--verify] [--stats] [-o csf.aut]`.
@@ -193,7 +203,7 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-/// `langeq extract --spec <net> --split K,... [--strategy s] [--verify]
+/// `langeq extract --spec <net|gen:NAME> [--split K,...] [--strategy s] [--verify]
 /// [-o sub.kiss]`.
 pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
     let p = scan(

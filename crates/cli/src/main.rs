@@ -46,14 +46,17 @@ Check commands (exit 0 = holds, 1 = fails):
   contains <a> <b>                    L(b) ⊆ L(a)?
   equivalent <a> <b>                  L(a) = L(b)?
 
-Solver commands:
-  solve --spec <net> --split K,K,...  compute the CSF of a latch split
+Solver commands (--spec takes a network file or a gen:NAME builtin, whose
+own split is the default for --split):
+  solve --spec <net|gen:NAME> [--split K,K,...]
+                                      compute the CSF of a latch split
         [--flow partitioned|monolithic|algorithm1] [--mono]
         [--reorder none|sifting|sifting:N] (dynamic BDD variable reordering)
         [--timeout SECS] [--node-limit N] [--max-states N]
         [--image-jobs N] (parallel partition-cluster image workers)
         [--progress] [--verify] [-o csf.aut] [--stats]
-  extract --spec <net> --split K,...  CSF → deterministic Mealy sub-solution
+  extract --spec <net|gen:NAME> [--split K,...]
+                                      CSF → deterministic Mealy sub-solution
         [--strategy lexmin|first|selfloop] [--minimize]
         [-o sub.kiss] [--verify]
   sweep <manifest.sweep>              batch (instance × config) sweep with a

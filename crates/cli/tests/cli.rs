@@ -216,6 +216,16 @@ fn kiss_machines_load_convert_and_report() {
     assert!(out.status.success(), "{}", stderr(&out));
     let info = stdout(&langeq(&dir, &["info", "back.kiss"]));
     assert!(info.contains("complete       true"), "{info}");
+    // A machine without product terms has no state to report: a clean
+    // input error, not a crash.
+    std::fs::write(dir.join("empty.kiss"), ".i 1\n.o 1\n.e\n").unwrap();
+    let out = langeq(&dir, &["info", "empty.kiss"]);
+    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("no product terms"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]
@@ -271,6 +281,25 @@ fn solve_computes_and_verifies_the_csf() {
     // The CSF automaton round-trips through info.
     let info = stdout(&langeq(&dir, &["info", "csf.aut"]));
     assert!(info.contains("automaton"), "{info}");
+
+    // A gen: builtin needs no file and brings its own split.
+    let out = langeq(&dir, &["solve", "--spec", "gen:figure3", "--verify"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("verify: X_P ⊆ X: ok; F∘X ⊆ S: ok"), "{text}");
+    let out = langeq(&dir, &["solve", "--spec", "gen:nope"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    // counter4's own split (latches 2,3) is the default; --split overrides.
+    let csf = |split: &[&str]| {
+        let out = langeq(
+            &dir,
+            &[&["solve", "--spec", "gen:counter4"], split].concat(),
+        );
+        assert!(out.status.success(), "{}", stderr(&out));
+        stdout(&out)
+    };
+    assert_eq!(csf(&[]), csf(&["--split", "2,3"]));
+    assert_ne!(csf(&[]), csf(&["--split", "3"]));
 }
 
 #[test]
@@ -633,6 +662,23 @@ fn sweep_runs_a_manifest_and_resumes() {
     assert!(cells[3].contains("\"cell\":3"), "replay:\n{replay}");
     let journal_after = std::fs::read_to_string(dir.join("mini.journal.jsonl")).unwrap();
     assert_eq!(journal, journal_after, "resume must not re-journal");
+
+    // A time limit or budget past the clock's range means "no limit".
+    std::fs::write(
+        dir.join("huge.sweep"),
+        "instance fig3 gen:figure3\n\
+         config part flow=partitioned timeout=18446744073709551615\n",
+    )
+    .unwrap();
+    let out = langeq(&dir, &["sweep", "huge.sweep"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("1 solved"), "{}", stdout(&out));
+    let out = langeq(
+        &dir,
+        &["sweep", "huge.sweep", "--budget", "18446744073709551615"],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("1 solved"), "{}", stdout(&out));
 }
 
 #[test]

@@ -622,7 +622,8 @@ pub(crate) fn execute(plan: &SuitePlan, mut opts: SuiteOptions) -> Result<SuiteR
         lock_queue(&queues[i % jobs]).push_back(*id);
     }
 
-    let deadline = opts.budget.map(|b| t0 + b);
+    // A budget past `Instant`'s range leaves the suite without a deadline.
+    let deadline = opts.budget.and_then(|b| t0.checked_add(b));
     let (tx, rx) = mpsc::channel::<WorkerMsg>();
     std::thread::scope(|scope| -> Result<(), SuiteError> {
         for w in 0..jobs {

@@ -99,3 +99,81 @@ pub use solver::{
     SolverLimits, SolverStats, DEFAULT_MAX_STATES,
 };
 pub use universe::{UniverseSizes, VarUniverse};
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+    use std::time::Duration;
+
+    use super::*;
+    use crate::batch::manifest::resolve_source;
+    use crate::verify::verify_latch_split;
+
+    /// The smallest Table-1 row as a `manifests/table1.sweep` line
+    /// resolves it: the `gen:` network at its own split.
+    fn sim_s510() -> (langeq_logic::Network, Vec<usize>) {
+        let (network, split) = resolve_source("gen:sim_s510", Path::new(".")).unwrap();
+        (network, split.expect("Table-1 sources carry their split"))
+    }
+
+    fn limits() -> SolverLimits {
+        SolverLimits {
+            node_limit: Some(4_000_000),
+            time_limit: Some(Duration::from_secs(60)),
+            ..SolverLimits::default()
+        }
+    }
+
+    /// The two Table-1 flows over sim_s510.
+    fn table1_row_plan() -> SuitePlan {
+        let (network, split) = sim_s510();
+        SuitePlan::new()
+            .instance(InstanceSpec::new("sim_s510", network, split))
+            .config(ConfigSpec::new("part", SolverKind::Partitioned).limits(limits()))
+            .config(ConfigSpec::new("mono", SolverKind::Monolithic).limits(limits()))
+    }
+
+    #[test]
+    fn suite_cells_agree_with_the_sequential_harness() {
+        // Each parallel suite cell must report the deterministic counters
+        // of a sequential, direct solve of the same instance and flow.
+        let report = table1_row_plan()
+            .execute(SuiteOptions::new().jobs(2))
+            .unwrap();
+        let (network, split) = sim_s510();
+        for (config, kind) in [
+            ("part", SolverKind::Partitioned),
+            ("mono", SolverKind::Monolithic),
+        ] {
+            let problem = LatchSplitProblem::new(&network, &split).unwrap();
+            let direct = SolveRequest::new(kind)
+                .limits(limits())
+                .run(&problem.equation)
+                .into_result()
+                .unwrap_or_else(|cnc| panic!("{config}: direct solve: {cnc:?}"));
+            let cell = report.get("sim_s510", config).unwrap();
+            let stats = cell.stats().unwrap_or_else(|| panic!("{config}: {cell:?}"));
+            assert_eq!(stats.csf_states, direct.csf.num_states(), "{config}");
+            assert_eq!(stats.subset_states, direct.stats.subset_states, "{config}");
+        }
+    }
+
+    #[test]
+    fn smallest_instance_runs_end_to_end() {
+        // Both flows solve in the suite, the table names the row, and the
+        // partitioned CSF passes the paper's two checks, as
+        // `langeq solve --spec gen:sim_s510 --verify` runs them.
+        let report = table1_row_plan().execute(SuiteOptions::new()).unwrap();
+        assert_eq!(report.solved(), 2, "{report:?}");
+        let table = report.format_table();
+        assert!(table.contains("sim_s510"), "table:\n{table}");
+        let (network, split) = sim_s510();
+        let problem = LatchSplitProblem::new(&network, &split).unwrap();
+        let solution = SolveRequest::partitioned()
+            .limits(limits())
+            .run(&problem.equation)
+            .into_result()
+            .expect("sim_s510 solves within the limits");
+        assert!(verify_latch_split(&problem, &solution.csf).all_passed());
+    }
+}

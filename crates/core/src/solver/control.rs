@@ -130,9 +130,12 @@ impl Control {
     }
 
     /// Convenience for [`with_deadline`](Self::with_deadline): a deadline
-    /// `timeout` from now.
+    /// `timeout` from now. A timeout past `Instant`'s range sets none.
     pub fn with_timeout(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.with_deadline(deadline),
+            None => self,
+        }
     }
 
     /// Registers the progress observer.

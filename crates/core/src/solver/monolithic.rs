@@ -20,18 +20,7 @@ use langeq_bdd::{Bdd, VarId};
 
 use crate::equation::LanguageEquation;
 use crate::solver::session::Session;
-use crate::solver::{CncReason, Control, Monolithic, MonolithicOptions, Outcome, Solution, Solver};
-
-/// Solves the equation with the monolithic flow.
-///
-/// Returns [`Outcome::Cnc`] when a limit in `opts.limits` is exhausted.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Monolithic::new(opts).solve(eq, &Control::default())` or `SolveRequest::monolithic()`"
-)]
-pub fn solve(eq: &LanguageEquation, opts: &MonolithicOptions) -> Outcome {
-    Monolithic::new(*opts).solve(eq, &Control::default())
-}
+use crate::solver::{CncReason, MonolithicOptions, Solution};
 
 #[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run(
@@ -176,7 +165,7 @@ pub(crate) fn run(
 mod tests {
     use super::*;
     use crate::equation::LatchSplitProblem;
-    use crate::solver::SolveRequest;
+    use crate::solver::{Outcome, SolveRequest};
     use langeq_logic::gen;
 
     #[test]

@@ -46,20 +46,7 @@ use langeq_image::ImageComputer;
 
 use crate::equation::LanguageEquation;
 use crate::solver::session::Session;
-use crate::solver::{
-    CncReason, Control, Outcome, Partitioned, PartitionedOptions, Solution, Solver,
-};
-
-/// Solves the equation with the partitioned flow.
-///
-/// Returns [`Outcome::Cnc`] when a limit in `opts.limits` is exhausted.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Partitioned::new(opts).solve(eq, &Control::default())` or `SolveRequest::partitioned()`"
-)]
-pub fn solve(eq: &LanguageEquation, opts: &PartitionedOptions) -> Outcome {
-    Partitioned::new(*opts).solve(eq, &Control::default())
-}
+use crate::solver::{CncReason, PartitionedOptions, Solution};
 
 /// The paper's flow: prefix-closed trimming via `Qξ` and the `DCN` trap.
 #[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
@@ -264,7 +251,7 @@ pub(crate) fn run_untrimmed(
 mod tests {
     use super::*;
     use crate::equation::LatchSplitProblem;
-    use crate::solver::SolveRequest;
+    use crate::solver::{Outcome, SolveRequest};
     use langeq_logic::gen;
 
     fn solve_figure3_problem(p: &LatchSplitProblem, trim: bool) -> Solution {

@@ -50,7 +50,8 @@ impl<'c> Session<'c> {
         kind: SolverKind,
     ) -> Self {
         let start = Instant::now();
-        let from_limit = limits.time_limit.map(|d| start + d);
+        // A limit past `Instant`'s range is no limit at all.
+        let from_limit = limits.time_limit.and_then(|d| start.checked_add(d));
         let deadline = match (from_limit, ctrl.deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),

@@ -470,21 +470,15 @@ pub fn hybrid_controller(cfg: &HybridCfg) -> Network {
     n
 }
 
-/// Paper-reported values for one Table-1 row (for EXPERIMENTS.md).
+/// The paper's interface shape for one Table-1 row, checked against the
+/// generated stand-in. The paper's measured columns (States(X), runtimes,
+/// ratio) are kept beside each instance in `manifests/table1.sweep`.
 #[derive(Debug, Clone, Copy)]
 pub struct PaperRow {
     /// `i/o/cs` column.
     pub io_cs: &'static str,
     /// `Fcs/Xcs` column.
     pub fcs_xcs: &'static str,
-    /// `States(X)` column.
-    pub states_x: &'static str,
-    /// Partitioned runtime (s).
-    pub part_s: &'static str,
-    /// Monolithic runtime (s); `CNC` = could not complete.
-    pub mono_s: &'static str,
-    /// `Mono/Part` ratio.
-    pub ratio: &'static str,
 }
 
 /// One instance of the Table-1 reproduction.
@@ -496,17 +490,17 @@ pub struct Table1Instance {
     pub network: Network,
     /// Latches assigned to the unknown component `X` (the rest stay in `F`).
     pub unknown_latches: Vec<usize>,
-    /// The values the paper reports for the original circuit.
+    /// The original circuit's shape as the paper reports it.
     pub paper: PaperRow,
 }
 
 /// The six stand-in instances mirroring Table 1 of the paper (same PI/PO/
 /// latch counts and split sizes as s510, s208, s298, s349, s444, s526).
 ///
-/// Configurations were tuned (see `probe` in `langeq-bench`) so the
-/// comparison reproduces the paper's *shape*: the partitioned flow solves
-/// every instance; the monolithic flow is competitive only on the small
-/// ones and fails (CNC) on the two largest; CSF sizes grow down the table.
+/// Generator seeds and sizes were screened for subset constructions that
+/// converge. The stand-ins match the paper's interface shapes, not its
+/// state counts; `manifests/table1.sweep` runs them under the paper's
+/// CNC limits and lists the paper's measured columns beside each row.
 #[allow(clippy::vec_init_then_push)] // six labelled rows read best as a sequence
 pub fn table1() -> Vec<Table1Instance> {
     let mut out = Vec::new();
@@ -531,10 +525,6 @@ pub fn table1() -> Vec<Table1Instance> {
         paper: PaperRow {
             io_cs: "19/7/6",
             fcs_xcs: "3/3",
-            states_x: "54",
-            part_s: "0.3",
-            mono_s: "0.2",
-            ratio: "0.7",
         },
     });
 
@@ -558,10 +548,6 @@ pub fn table1() -> Vec<Table1Instance> {
         paper: PaperRow {
             io_cs: "10/1/8",
             fcs_xcs: "4/4",
-            states_x: "497",
-            part_s: "0.4",
-            mono_s: "0.8",
-            ratio: "2.0",
         },
     });
 
@@ -585,10 +571,6 @@ pub fn table1() -> Vec<Table1Instance> {
         paper: PaperRow {
             io_cs: "3/6/14",
             fcs_xcs: "7/7",
-            states_x: "553",
-            part_s: "0.9",
-            mono_s: "2.7",
-            ratio: "3.0",
         },
     });
 
@@ -612,14 +594,10 @@ pub fn table1() -> Vec<Table1Instance> {
         paper: PaperRow {
             io_cs: "9/11/15",
             fcs_xcs: "5/10",
-            states_x: "2626",
-            part_s: "37.7",
-            mono_s: "810.3",
-            ratio: "21.5",
         },
     });
 
-    // s444 (TLC variant): deep shift pipe — monolithic flow CNCs here.
+    // s444 (TLC variant): deep shift pipe; the paper's monolithic run CNCs.
     out.push(Table1Instance {
         name: "sim_s444",
         network: hybrid_controller(&HybridCfg {
@@ -639,10 +617,6 @@ pub fn table1() -> Vec<Table1Instance> {
         paper: PaperRow {
             io_cs: "3/6/21",
             fcs_xcs: "5/16",
-            states_x: "17730",
-            part_s: "25.9",
-            mono_s: "CNC",
-            ratio: "-",
         },
     });
 
@@ -654,8 +628,8 @@ pub fn table1() -> Vec<Table1Instance> {
     // conformance conditions make every image computation heavier, pushing
     // this row past sim_s444 in runtime — the paper's shape for its
     // largest instance. Output-structure seeds with fresh state logic were
-    // screened extensively and diverge (see the `probe` binary); this
-    // lever scales the work without breaking convergence.
+    // screened extensively and diverge; this lever scales the work without
+    // breaking convergence.
     out.push(Table1Instance {
         name: "sim_s526",
         network: hybrid_controller(&HybridCfg {
@@ -675,10 +649,6 @@ pub fn table1() -> Vec<Table1Instance> {
         paper: PaperRow {
             io_cs: "3/6/21",
             fcs_xcs: "5/16",
-            states_x: "141829",
-            part_s: "276.7",
-            mono_s: "CNC",
-            ratio: "-",
         },
     });
 

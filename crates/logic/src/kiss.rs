@@ -620,9 +620,9 @@ impl MealyFsm {
 ///
 /// # Errors
 ///
-/// [`KissError::Syntax`] for malformed lines, [`KissError::Width`] for
-/// pattern-width violations, and [`KissError::CountMismatch`] when `.p` or
-/// `.s` disagree with the body.
+/// [`KissError::Syntax`] for malformed lines or a text without product
+/// terms, [`KissError::Width`] for pattern-width violations, and
+/// [`KissError::CountMismatch`] when `.p` or `.s` disagree with the body.
 pub fn parse(text: &str) -> Result<MealyFsm, KissError> {
     let mut ni: Option<usize> = None;
     let mut no: Option<usize> = None;
@@ -720,11 +720,14 @@ pub fn parse(text: &str) -> Result<MealyFsm, KissError> {
         }
     }
 
-    let (ni, no) = match (ni, no) {
-        (Some(ni), Some(no)) => (ni, no),
-        _ => return Err(syntax(0, "missing .i/.o declaration")),
+    if ni.is_none() || no.is_none() {
+        return Err(syntax(0, "missing .i/.o declaration"));
+    }
+    // Every product pattern has exactly the declared width, so a machine
+    // with at least one product is never wider than its own text.
+    let Some(mut fsm) = fsm else {
+        return Err(syntax(0, "no product terms"));
     };
-    let mut fsm = fsm.unwrap_or_else(|| MealyFsm::new("kiss", ni, no));
     if let Some(name) = reset_name {
         let r = fsm
             .state_index(&name)
@@ -873,6 +876,23 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn texts_without_product_terms_are_rejected() {
+        // Without a product nothing ties the declared widths to the text:
+        // these tiny inputs would declare machines billions of bits wide,
+        // or a machine with no state to reset into.
+        for text in [
+            ".i 1\n.o 1\n.e\n",
+            ".i 4000000000\n.o 1\n.e\n",
+            ".i 1\n.o 4000000000\n.e\n",
+        ] {
+            assert!(
+                matches!(parse(text), Err(KissError::Syntax { .. })),
+                "{text:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -275,14 +275,15 @@ impl Client {
     }
 
     /// Polls until the job finishes, then returns its result. `poll` is
-    /// the interval between status probes; `timeout` bounds the total wait.
+    /// the interval between status probes; `timeout` bounds the total wait
+    /// (one past `Instant`'s range waits without bound).
     pub fn wait(&self, job: u64, poll: Duration, timeout: Duration) -> Result<Json, ClientError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(result) = self.job_result(job)? {
                 return Ok(result);
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(ClientError::Protocol(format!(
                     "job {job} did not finish within {timeout:?}"
                 )));

@@ -358,6 +358,20 @@ fn reorder_policy_is_part_of_the_cache_key() {
 }
 
 #[test]
+fn timeouts_past_the_clock_range_mean_no_limit() {
+    let (server, client) = start(ServeOptions::new().jobs(1));
+    // Both the solve's time limit and the client's wait lie past
+    // `Instant`'s range: each must mean "no limit", not a worker panic.
+    let req = gen_request("gen:figure3").set("timeout", i64::MAX);
+    let ack = client.submit_solve(&req).expect("accepted");
+    let result = client.wait(ack.job, POLL, Duration::MAX).expect("finishes");
+    let cells = result.get("cells").and_then(Json::as_arr).unwrap();
+    assert!(CellReport::from_json(&cells[0]).unwrap().solved());
+    assert_eq!(client.metric("langeq_worker_panics_total").unwrap(), 0);
+    server.shutdown();
+}
+
+#[test]
 fn restart_reloads_the_cache_journal() {
     let journal = scratch_journal("restart");
 

@@ -202,6 +202,22 @@ fn control_deadline_reports_timeout() {
 }
 
 #[test]
+fn time_limit_past_the_clock_range_means_no_limit() {
+    // `Instant + Duration::MAX` overflows; such a limit must solve as if
+    // unlimited, and so must the same span given as a control timeout.
+    let p = LatchSplitProblem::new(&gen::figure3(), &[1]).expect("split");
+    let sol = SolveRequest::partitioned()
+        .time_limit(Duration::MAX)
+        .run(&p.equation)
+        .into_result()
+        .expect("an unreachable time limit never fires");
+    assert!(sol.csf.num_states() > 0);
+    let (solver, _) = SolveRequest::monolithic().build();
+    let ctrl = Control::new().with_timeout(Duration::MAX);
+    assert!(solver.solve(&p.equation, &ctrl).solution().is_some());
+}
+
+#[test]
 fn solver_kind_round_trips_through_its_names() {
     // The PR-1 free-function shims are gone; flows are now named values
     // that parse back from their display names (and the CLI aliases).

@@ -2,11 +2,13 @@
 //! report order across worker counts, journal round-trips, resume
 //! semantics, and mid-suite cancellation draining the worker pool.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use langeq::core::batch::journal::load_journal;
+use langeq::core::batch::manifest::load_manifest;
 use langeq::prelude::*;
 use langeq_logic::gen;
 
@@ -73,6 +75,67 @@ fn report_order_is_deterministic_across_worker_counts() {
     );
     // Cell results are identical modulo timing fields.
     assert_eq!(fingerprint(&one), fingerprint(&four));
+    // And each cell reports what a direct solve of its instance and flow
+    // computes.
+    for report in &one.cells {
+        let cell = plan
+            .cell(report.cell)
+            .expect("reported cells are plan cells");
+        let problem =
+            LatchSplitProblem::new(&cell.instance.network, &cell.instance.unknown_latches).unwrap();
+        let direct = SolveRequest::new(cell.config.kind)
+            .run(&problem.equation)
+            .into_result()
+            .expect("direct solve");
+        let stats = report.stats().expect("solved");
+        let key = format!("{}/{}", report.instance, report.config);
+        assert_eq!(stats.csf_states, direct.csf.num_states(), "{key}");
+        assert_eq!(stats.subset_states, direct.stats.subset_states, "{key}");
+    }
+}
+
+#[test]
+fn budget_past_the_clock_range_means_no_budget() {
+    // `Instant + Duration::MAX` overflows; the suite must run unbudgeted.
+    let report = small_plan()
+        .execute(SuiteOptions::new().jobs(2).budget(Duration::MAX))
+        .unwrap();
+    assert_eq!(report.solved(), 4);
+    assert!(!report.cancelled);
+}
+
+#[test]
+fn table1_manifest_is_the_paper_plan() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("manifests/table1.sweep");
+    let plan = load_manifest(&path).unwrap();
+    assert_eq!(plan.num_cells(), 12);
+    let got: Vec<(&str, &[usize])> = plan
+        .instances()
+        .iter()
+        .map(|i| (i.name.as_str(), i.unknown_latches.as_slice()))
+        .collect();
+    let table1 = gen::table1();
+    let want: Vec<(&str, &[usize])> = table1
+        .iter()
+        .map(|i| (i.name, i.unknown_latches.as_slice()))
+        .collect();
+    assert_eq!(got, want);
+    let configs: Vec<(&str, SolverKind)> = plan
+        .configs()
+        .iter()
+        .map(|c| (c.name.as_str(), c.kind))
+        .collect();
+    assert_eq!(
+        configs,
+        [
+            ("part", SolverKind::Partitioned),
+            ("mono", SolverKind::Monolithic)
+        ]
+    );
+    for config in plan.configs() {
+        assert_eq!(config.limits.time_limit, Some(Duration::from_secs(120)));
+        assert_eq!(config.limits.node_limit, Some(8_000_000));
+    }
 }
 
 #[test]
