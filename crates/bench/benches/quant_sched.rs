@@ -94,31 +94,25 @@ fn banked_counters(
 }
 
 /// The multi-cluster reachability workload on the compile-time fused
-/// schedule, serial and with parallel fusion workers.
+/// schedule.
 fn bench_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("quant_sched/fused");
     group.sample_size(10);
-    let variants: [(&str, ImageOptions); 2] = [
-        ("fused", ImageOptions::default()),
-        (
-            "fused-jobs4",
-            ImageOptions {
-                jobs: 4,
-                ..Default::default()
-            },
-        ),
-    ];
-    for (label, opts) in variants {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mgr = BddManager::new();
-                let (parts, quantify, map, init) = banked_counters(&mgr, 16, 8);
-                let cs: Vec<VarId> = map.iter().map(|&(_, c)| c).collect();
-                let img = ImageComputer::with_protected(&mgr, &parts, &quantify, &cs, opts);
-                std::hint::black_box(reachable(&img, &init, &map))
-            })
-        });
-    }
+    group.bench_function("fused", |b| {
+        b.iter(|| {
+            let mgr = BddManager::new();
+            let (parts, quantify, map, init) = banked_counters(&mgr, 16, 8);
+            let cs: Vec<VarId> = map.iter().map(|&(_, c)| c).collect();
+            let img = ImageComputer::with_protected(
+                &mgr,
+                &parts,
+                &quantify,
+                &cs,
+                ImageOptions::default(),
+            );
+            std::hint::black_box(reachable(&img, &init, &map))
+        })
+    });
     group.finish();
 }
 

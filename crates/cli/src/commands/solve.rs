@@ -108,11 +108,6 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
         .limits(limits(p)?)
         .reorder(reorder(p)?)
         .cancel_token(crate::sigint::install());
-    // Throughput-only knob: never changes the computed CSF (see the
-    // `signature_excludes_performance_knobs` contract in langeq-core).
-    if let Some(jobs) = p.number::<usize>("image-jobs")? {
-        request = request.image_jobs(jobs);
-    }
     if p.flag("progress") {
         request = request.on_progress(progress_printer());
     }
@@ -125,7 +120,7 @@ fn run_solver(problem: &LatchSplitProblem, p: &Parsed) -> Result<Solution, CliEr
 /// `langeq solve --spec <net|gen:NAME> [--split K,...]
 /// [--flow partitioned|monolithic|algorithm1]
 /// [--mono] [--reorder none|sifting|sifting:N] [--timeout S] [--node-limit N]
-/// [--max-states N] [--image-jobs N] [--progress]
+/// [--max-states N] [--progress]
 /// [--verify] [--stats] [-o csf.aut]`.
 pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
     let p = scan(
@@ -138,7 +133,6 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
             "max-states",
             "flow",
             "reorder",
-            "image-jobs",
         ],
     )?;
     p.reject_unknown(&[
@@ -149,7 +143,6 @@ pub fn solve(args: &[String]) -> Result<ExitCode, CliError> {
         "max-states",
         "flow",
         "reorder",
-        "image-jobs",
         "mono",
         "progress",
         "verify",
@@ -216,7 +209,6 @@ pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
             "max-states",
             "strategy",
             "reorder",
-            "image-jobs",
         ],
     )?;
     p.reject_unknown(&[
@@ -227,7 +219,6 @@ pub fn extract(args: &[String]) -> Result<ExitCode, CliError> {
         "max-states",
         "strategy",
         "reorder",
-        "image-jobs",
         "progress",
         "verify",
         "minimize",

@@ -34,7 +34,6 @@ const VALUE_KEYS: &[&str] = &[
     "node-limit",
     "max-states",
     "reorder",
-    "image-jobs",
     "jobs",
     "budget",
     "journal",
@@ -48,7 +47,6 @@ const KNOWN: &[&str] = &[
     "node-limit",
     "max-states",
     "reorder",
-    "image-jobs",
     "jobs",
     "budget",
     "journal",
@@ -79,7 +77,6 @@ fn plan_from_manifest(p: &Parsed, path: &str) -> Result<SuitePlan, CliError> {
         "node-limit",
         "max-states",
         "reorder",
-        "image-jobs",
     ] {
         if p.value(opt).is_some() {
             return Err(CliError::Usage(format!(
@@ -119,19 +116,16 @@ fn plan_from_files(p: &Parsed, files: &[String]) -> Result<SuitePlan, CliError> 
             .to_string();
         plan = plan.instance(InstanceSpec::new(name, network, split.clone()));
     }
-    let image_jobs = p.number::<usize>("image-jobs")?;
     for flow in flows.split(',').filter(|f| !f.is_empty()) {
         let kind: SolverKind = flow
             .trim()
             .parse()
             .map_err(|e| CliError::Usage(format!("--flows: {e}")))?;
-        let mut config = ConfigSpec::new(kind.to_string(), kind)
-            .limits(limits)
-            .reorder(reorder);
-        if let Some(jobs) = image_jobs {
-            config = config.image_jobs(jobs);
-        }
-        plan = plan.config(config);
+        plan = plan.config(
+            ConfigSpec::new(kind.to_string(), kind)
+                .limits(limits)
+                .reorder(reorder),
+        );
     }
     Ok(plan)
 }
@@ -206,7 +200,7 @@ fn progress_printer() -> impl FnMut(&SuiteEvent) {
 
 /// `langeq sweep <manifest.sweep | net...> [--split K,...] [--flows f,f]
 /// [--timeout S] [--node-limit N] [--max-states N]
-/// [--reorder none|sifting|sifting:N] [--image-jobs N]
+/// [--reorder none|sifting|sifting:N]
 /// [--jobs N] [--budget S]
 /// [--journal PATH | --store DIR] [--resume] [--json] [--progress]`.
 ///

@@ -53,7 +53,6 @@ own split is the default for --split):
         [--flow partitioned|monolithic|algorithm1] [--mono]
         [--reorder none|sifting|sifting:N] (dynamic BDD variable reordering)
         [--timeout SECS] [--node-limit N] [--max-states N]
-        [--image-jobs N] (parallel partition-cluster image workers)
         [--progress] [--verify] [-o csf.aut] [--stats]
   extract --spec <net|gen:NAME> [--split K,...]
                                       CSF → deterministic Mealy sub-solution
@@ -63,7 +62,6 @@ own split is the default for --split):
   sweep <net...> --split K,K,...      work-stealing pool and a JSONL journal
         [--flows part,mono,...] [--timeout SECS] [--node-limit N]
         [--reorder none|sifting|sifting:N] (or per-config reorder= in the manifest)
-        [--image-jobs N] (or image-jobs= per config)
         [--jobs N] [--budget SECS] [--journal PATH | --store DIR] [--resume]
         [--json] [--progress]
 

@@ -24,7 +24,6 @@
 //!
 //! # config <name> [flow=partitioned|monolithic|algorithm1] [trim=on|off]
 //! #               [reorder=none|sifting|sifting:THRESHOLD]
-//! #               [image-jobs=N]
 //! #               [timeout=SECS] [node-limit=N] [max-states=N]
 //! config part flow=partitioned
 //! config mono flow=monolithic timeout=60
@@ -368,9 +367,6 @@ fn parse_config<'a>(
                     .parse()
                     .map_err(|e| ManifestError::at(lineno, format!("{e}")))?;
             }
-            "image-jobs" => {
-                spec.image.jobs = parse_number::<usize>(lineno, key, value)?;
-            }
             "timeout" => {
                 limits.time_limit = Some(Duration::from_secs(parse_number(lineno, key, value)?));
             }
@@ -460,20 +456,6 @@ config sift flow=partitioned reorder=sifting:5000
     }
 
     #[test]
-    fn image_jobs_parse() {
-        let plan = parse_manifest(
-            "instance a gen:figure3\n\
-             config par flow=partitioned image-jobs=4\n\
-             config ser flow=partitioned\n",
-            Path::new("."),
-        )
-        .unwrap();
-        assert_eq!(plan.configs()[0].image.jobs, 4);
-        // Default: serial.
-        assert_eq!(plan.configs()[1].image.jobs, 1);
-    }
-
-    #[test]
     fn file_instances_resolve_relative_to_base() {
         let dir = std::env::temp_dir().join(format!("langeq-manifest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -508,7 +490,7 @@ config sift flow=partitioned reorder=sifting:5000
             ("config c reorder=warp", "unknown reorder policy"),
             ("config c timeout=soon", "bad number"),
             ("config c verbose", "not key=value"),
-            ("config c image-jobs=many", "bad number"),
+            ("config c image-jobs=4", "unknown config option"),
             ("config c image-restrict=on", "unknown config option"),
         ];
         for (text, needle) in bad {

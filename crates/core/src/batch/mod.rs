@@ -127,14 +127,6 @@ impl ConfigSpec {
         self
     }
 
-    /// Sets the worker-thread count for compile-time image fusion
-    /// (`--image-jobs`). A pure throughput knob: results, journal bytes,
-    /// and the cell signature are identical for every value.
-    pub fn image_jobs(mut self, jobs: usize) -> Self {
-        self.image.jobs = jobs;
-        self
-    }
-
     /// The configured solver, type-erased (constructed per cell, inside the
     /// worker that runs it).
     pub fn solver(&self) -> Box<dyn Solver> {

@@ -177,11 +177,10 @@ mod tests {
     }
 
     /// Purely-performance knobs must NEVER enter the signature: a fleet
-    /// cache or journal keyed on `--image-jobs` (or any other
-    /// throughput-only setting) would miss on every machine whose core
-    /// count — not whose *experiment* — differs. This is the regression
-    /// guard for that contract: every [`ImageOptions`] perf field produces
-    /// byte-identical signatures.
+    /// cache or journal keyed on an evaluation-strategy setting would miss
+    /// on every request whose tuning — not whose *experiment* — differs.
+    /// This is the regression guard for that contract: every
+    /// [`ImageOptions`] field produces byte-identical signatures.
     #[test]
     fn signature_excludes_performance_knobs() {
         let base = || {
@@ -192,16 +191,6 @@ mod tests {
         };
         let (i0, c0) = base();
         let sig0 = cell_signature(&i0, &c0);
-
-        // Image fusion worker count (`--image-jobs`).
-        for jobs in [0, 1, 4, 64] {
-            let (i, c) = base();
-            assert_eq!(
-                cell_signature(&i, &c.image_jobs(jobs)),
-                sig0,
-                "image_jobs={jobs} must not enter the signature"
-            );
-        }
 
         // cluster_threshold and the quantification schedule change the
         // *evaluation order*, never the computed result — the signature

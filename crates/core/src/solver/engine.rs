@@ -281,14 +281,6 @@ impl SolveRequest {
         self
     }
 
-    /// Worker-thread count for compile-time image fusion (`--image-jobs`;
-    /// partitioned flow only). A pure throughput knob: the solve result,
-    /// journal bytes, and cell signature are identical for every value.
-    pub fn image_jobs(mut self, jobs: usize) -> Self {
-        self.image.jobs = jobs;
-        self
-    }
-
     /// Dynamic variable reordering for the run (partitioned and monolithic
     /// flows; the explicit Algorithm-1 pipeline stays static). The policy
     /// is armed on the equation's manager for the duration of the solve

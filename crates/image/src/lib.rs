@@ -37,14 +37,10 @@
 //!    it (checked per call; a hit falls back to the classic chain).
 //! 2. **Chunk products** — consecutive pre-quantified clusters are grouped
 //!    into node-budgeted chunks, and each chunk's product (plus its
-//!    chunk-internal quantifications) is computed on a **thread-confined
-//!    sub-manager** seeded from an LQBS snapshot of the operands. Chunks
-//!    are distributed over [`ImageOptions::jobs`] workers by work stealing;
-//!    results are decoded back onto the coordinating manager **in chunk
-//!    order**, so the coordinator's operation sequence — and therefore
-//!    every result, journal byte, and kernel statistic — is independent of
-//!    the job count. A chunk whose product exceeds the blow-up cap passes
-//!    through unfused.
+//!    chunk-internal quantifications) is computed once, in chunk order, on
+//!    the caller's manager — under its node limit, abort hook and reorder
+//!    policy like any other operation. A chunk whose product exceeds the
+//!    blow-up cap passes through unfused.
 //! 3. The per-call image then runs the ordinary early-quantification chain
 //!    over the (much shorter) fused cluster list.
 //!
@@ -75,11 +71,10 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use langeq_bdd::{snapshot, Bdd, BddManager, VarId};
+use langeq_bdd::{Bdd, BddManager, VarId};
 use langeq_obs::Histogram;
 
 /// Quantification scheduling policy.
@@ -102,11 +97,6 @@ pub struct ImageOptions {
     /// Maximum BDD node count of a cluster; adjacent conjuncts are merged
     /// while below this size.
     pub cluster_threshold: usize,
-    /// Worker threads for compile-time chunk fusion (`--image-jobs`).
-    /// Purely a throughput knob: the compiled schedule, every image
-    /// result, and the coordinator's operation sequence are identical for
-    /// every value. `0` is treated as `1`.
-    pub jobs: usize,
 }
 
 impl Default for ImageOptions {
@@ -114,7 +104,6 @@ impl Default for ImageOptions {
         ImageOptions {
             schedule: QuantSchedule::Early,
             cluster_threshold: 1000,
-            jobs: 1,
         }
     }
 }
@@ -306,95 +295,22 @@ fn finish_schedule(mgr: &BddManager, clusters: Vec<Cluster>, quantify: &[VarId])
     }
 }
 
-/// A chunk's transfer package: snapshot bytes of `[H_0, …, H_k, cube]`
-/// where `cube` is the positive cube of the chunk-internal quantified
-/// variables (constant one when there are none).
-struct ChunkTask {
-    bytes: Vec<u8>,
-    first: usize,
-    len: usize,
-}
-
-/// Computes one chunk's product on a fresh, thread-confined sub-manager:
-/// decode the operands, conjoin, quantify the chunk-internal cube, encode
-/// the result. Returns `None` — "pass through unfused" — when the product
-/// crosses `cap` (or on a decode error). Fully deterministic in the input
-/// bytes, so every worker assignment computes identical outcomes.
-fn fuse_chunk(bytes: &[u8], cap: usize) -> Option<Vec<u8>> {
-    let m = BddManager::new();
-    let roots = snapshot::load(&m, bytes).ok()?;
-    let (cube, hs) = roots.split_last()?;
-    // A cancelled coordinating manager collapses every operation — the
-    // shipped cube included — to constant zero, which is not a positive
-    // cube. Pass the chunk through unfused; the surrounding solve is
-    // being torn down and its result is discarded anyway.
-    if cube.is_zero() {
-        return None;
-    }
-    let mut acc = hs.first()?.clone();
-    for h in &hs[1..] {
-        acc = acc.and(h);
-        if acc.node_count() > cap {
+/// Computes one chunk's product on the caller's manager: conjoin its
+/// clusters in order, then quantify the chunk-internal variables. Returns
+/// `None` — "pass through unfused" — when the product crosses `cap` after
+/// any step, or when the manager aborts.
+fn fuse_chunk(mgr: &BddManager, chunk: &[Cluster], vars: &[VarId], cap: usize) -> Option<Bdd> {
+    let fits = |f: &Bdd| mgr.abort_reason().is_none() && f.node_count() <= cap;
+    let (head, rest) = chunk.split_first()?;
+    let mut acc = head.func.clone();
+    for c in rest {
+        acc = acc.and(&c.func);
+        if !fits(&acc) {
             return None;
         }
     }
-    if !cube.is_one() {
-        acc = m.exists_cube(&acc, cube);
-        if acc.node_count() > cap {
-            return None;
-        }
-    }
-    Some(snapshot::save(&m, &[acc]))
-}
-
-/// Runs every chunk task and returns the outcomes **indexed by chunk**,
-/// regardless of which worker computed what. `jobs <= 1` executes the
-/// identical tasks inline (same sub-manager round trips — the decomposition
-/// never forks on the job count); more jobs steal chunks off a shared
-/// counter on scoped threads, each re-entering the caller's trace context.
-fn run_tasks(tasks: &[ChunkTask], cap: usize, jobs: usize) -> Vec<Option<Vec<u8>>> {
-    let jobs = jobs.max(1).min(tasks.len().max(1));
-    if jobs <= 1 {
-        return tasks
-            .iter()
-            .map(|t| {
-                let mut sp = langeq_obs::span!("image.fuse_chunk", first = t.first, len = t.len);
-                let r = fuse_chunk(&t.bytes, cap);
-                sp.field("fused", r.is_some());
-                r
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let ctx = langeq_obs::trace::current();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Option<Vec<u8>>)>();
-    let mut results: Vec<Option<Vec<u8>>> = Vec::new();
-    results.resize_with(tasks.len(), || None);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || {
-                let _guard = ctx.map(|(trace, parent)| langeq_obs::trace::install(trace, parent));
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(t) = tasks.get(i) else { break };
-                    let mut sp =
-                        langeq_obs::span!("image.fuse_chunk", first = t.first, len = t.len);
-                    let r = fuse_chunk(&t.bytes, cap);
-                    sp.field("fused", r.is_some());
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            results[i] = r;
-        }
-    });
-    results
+    let product = mgr.exists(&acc, vars);
+    fits(&product).then_some(product)
 }
 
 /// Compiles the fused schedule from the classic cluster chain, or `None`
@@ -449,7 +365,7 @@ fn build_fused(
         return None;
     }
 
-    // ---- L2: chunk, ship to sub-managers, fuse ---------------------------
+    // ---- L2: chunk -------------------------------------------------------
     let budget = opts.cluster_threshold.saturating_mul(CHUNK_SPAN).max(64);
     let cap = budget.saturating_mul(BLOWUP);
     let mut chunks: Vec<(usize, usize)> = Vec::new(); // (first, len)
@@ -470,9 +386,9 @@ fn build_fused(
     }
 
     // Chunk-internal quantified variables: every holder inside one
-    // multi-cluster chunk. Sound to eliminate *iff* the chunk fuses (the
-    // worker quantifies them out of the product); an unfused chunk leaves
-    // them to the residual run-time schedule.
+    // multi-cluster chunk. Sound to eliminate *iff* the chunk fuses (its
+    // product quantifies them out); an unfused chunk leaves them to the
+    // residual run-time schedule.
     let mut chunk_vars: Vec<Vec<VarId>> = vec![Vec::new(); chunks.len()];
     for &v in quantify {
         if eliminated.contains(&v) || protected.contains(&v) {
@@ -497,47 +413,25 @@ fn build_fused(
         }
     }
 
-    let tasks: Vec<ChunkTask> = chunks
-        .iter()
-        .zip(&chunk_vars)
-        .filter(|(&(_, len), _)| len >= 2)
-        .map(|(&(first, len), vars)| {
-            let mut roots: Vec<Bdd> = pre[first..first + len]
-                .iter()
-                .map(|c| c.func.clone())
-                .collect();
-            roots.push(mgr.positive_cube(vars));
-            ChunkTask {
-                bytes: snapshot::save(mgr, &roots),
-                first,
-                len,
-            }
-        })
-        .collect();
-    let outcomes = run_tasks(&tasks, cap, opts.jobs);
-
-    // ---- merge, in chunk order, on the coordinator -----------------------
+    // ---- fuse, in chunk order --------------------------------------------
     let mut fused_conjuncts: Vec<Cluster> = Vec::new();
     let mut merged_any = false;
-    let mut task_at = 0usize;
     for (j, &(first, len)) in chunks.iter().enumerate() {
+        let chunk = &pre[first..first + len];
         if len < 2 {
-            fused_conjuncts.push(pre[first].clone());
+            fused_conjuncts.push(chunk[0].clone());
             continue;
         }
-        let outcome = &outcomes[task_at];
-        task_at += 1;
-        let decoded = outcome
-            .as_deref()
-            .and_then(|bytes| snapshot::load(mgr, bytes).ok())
-            .and_then(|mut roots| (roots.len() == 1).then(|| roots.remove(0)));
-        match decoded {
+        let mut sp = langeq_obs::span!("image.fuse_chunk", first = first, len = len);
+        let product = fuse_chunk(mgr, chunk, &chunk_vars[j], cap);
+        sp.field("fused", product.is_some());
+        match product {
             Some(product) => {
                 fused_conjuncts.push(Cluster::of(product));
                 eliminated.extend(chunk_vars[j].iter().copied());
                 merged_any = true;
             }
-            None => fused_conjuncts.extend(pre[first..first + len].iter().cloned()),
+            None => fused_conjuncts.extend(chunk.iter().cloned()),
         }
     }
     if mgr.abort_reason().is_some() {
@@ -913,26 +807,43 @@ mod tests {
         assert!(img.num_fused_clusters().unwrap() < img.num_clusters());
     }
 
+    /// Chunk fusion runs on the caller's manager, so an armed sifting
+    /// policy may reorder mid-compile: the schedule compiled across that
+    /// reorder must compute the same image and fixpoint as a static-order
+    /// computer.
     #[test]
-    fn job_count_never_changes_results() {
+    fn fusion_on_a_reordering_manager_matches_static_order() {
         let mgr = BddManager::new();
         let (parts, quantify, map, init) = banked(&mgr, 4, 2);
-        let mut images = Vec::new();
-        let mut reaches = Vec::new();
-        for jobs in [1, 2, 4] {
-            let opts = ImageOptions {
-                cluster_threshold: 8,
-                jobs,
-                ..Default::default()
-            };
-            let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
-            images.push(img.image(&init));
-            reaches.push(reachable(&img, &init, &map));
-        }
-        // Hash consing makes handle equality functional equality: the
-        // results must be the *identical* nodes for every job count.
-        assert!(images.windows(2).all(|w| w[0] == w[1]));
-        assert!(reaches.windows(2).all(|w| w[0] == w[1]));
+        let cs: Vec<VarId> = map.iter().map(|&(_, c)| c).collect();
+        let opts = ImageOptions {
+            cluster_threshold: 8,
+            ..Default::default()
+        };
+        let fixed = ImageComputer::with_protected(&mgr, &parts, &quantify, &cs, opts);
+        let want = reachable(&fixed, &init, &map);
+        let reorders = mgr.stats().reorders;
+        mgr.set_reorder_policy(langeq_bdd::ReorderPolicy::Sifting {
+            auto_threshold: 8,
+            max_growth: 1.5,
+        });
+        let img = ImageComputer::with_protected(&mgr, &parts, &quantify, &cs, opts);
+        assert!(
+            mgr.stats().reorders > reorders,
+            "the compile must sift at least once"
+        );
+        assert!(
+            img.num_fused_clusters()
+                .is_some_and(|n| n < img.num_clusters()),
+            "the chunk must still fuse on the reordered manager"
+        );
+        assert_eq!(
+            img.image(&init),
+            naive_image(&mgr, &parts, &quantify, &init)
+        );
+        let got = reachable(&img, &init, &map);
+        mgr.set_reorder_policy(langeq_bdd::ReorderPolicy::None);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1127,10 +1038,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Random small partitioned relations: the fused schedule at
-        /// several job counts, and the classic chain it falls back to on a
-        /// from-set naming an eliminated variable, must all agree with the
-        /// naive conjoin-then-quantify reference on a random from-cube.
+        /// Random small partitioned relations: the fused schedule, and the
+        /// classic chain it falls back to on a from-set naming an
+        /// eliminated variable, must both agree with the naive
+        /// conjoin-then-quantify reference on a random from-cube.
         #[test]
         fn random_networks_agree_across_modes(
             seed in 0u64..1u64 << 48,
@@ -1149,15 +1060,13 @@ mod tests {
                 from = from.and(&if x >> 62 & 1 == 1 { lit.not() } else { lit });
             }
             let want = naive_image(&mgr, &parts, &quantify, &from);
-            for jobs in [1, 4] {
-                let opts = ImageOptions { cluster_threshold: 6, jobs, ..Default::default() };
-                let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
-                proptest::prop_assert_eq!(&img.image(&from), &want);
-                if let Some(&v) = img.fused.as_ref().and_then(|f| f.hazard.iter().next()) {
-                    let hazard = from.and(&mgr.var(v));
-                    let want = naive_image(&mgr, &parts, &quantify, &hazard);
-                    proptest::prop_assert_eq!(&img.image(&hazard), &want);
-                }
+            let opts = ImageOptions { cluster_threshold: 6, ..Default::default() };
+            let img = ImageComputer::new(&mgr, &parts, &quantify, opts);
+            proptest::prop_assert_eq!(&img.image(&from), &want);
+            if let Some(&v) = img.fused.as_ref().and_then(|f| f.hazard.iter().next()) {
+                let hazard = from.and(&mgr.var(v));
+                let want = naive_image(&mgr, &parts, &quantify, &hazard);
+                proptest::prop_assert_eq!(&img.image(&hazard), &want);
             }
         }
     }

@@ -1,10 +1,11 @@
-//! Mutation tests for the `.bench` and `.blif` decoders: the valid text
-//! of a built-in circuit, randomly damaged, must decode to `Ok` or to an
-//! `Err` — never a panic.
+//! Mutation tests for the `.bench`, `.blif` and `.kiss` decoders: the
+//! valid text of a built-in circuit or machine, randomly damaged, must
+//! decode to `Ok` or to an `Err` — never a panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
+use langeq_logic::kiss::{self, KissError};
 use langeq_logic::{bench_fmt, blif, gen, Network, NetworkError};
 use proptest::prelude::*;
 
@@ -23,6 +24,37 @@ fn texts() -> &'static (Vec<String>, Vec<String>) {
             .map(|n| bench_fmt::write(n).expect("gate networks write as .bench"))
             .collect();
         (bench, nets.iter().map(blif::write).collect())
+    })
+}
+
+/// A hand-written machine using every KISS2 header (`.i`/`.o`/`.p`/`.s`/
+/// `.r`/`.e`), comments and input don't-cares.
+const DETECTOR: &str = "\
+# detects the input sequence 1 1
+.i 2
+.o 1
+.p 5
+.s 3
+.r idle
+0- idle idle 0
+1- idle one  0   # first 1
+0- one  idle 0
+1- one  two  1
+-- two  idle 0
+.e
+";
+
+/// The `.kiss` texts: a random complete machine and [`DETECTOR`], each
+/// checked to parse and synthesize before it is damaged.
+fn kiss_texts() -> &'static [String; 2] {
+    static TEXTS: OnceLock<[String; 2]> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let texts = [kiss::random_fsm(7, 2, 2, 3).to_kiss(), DETECTOR.to_string()];
+        for text in &texts {
+            let fsm = kiss::parse(text).expect("undamaged text parses");
+            fsm.to_network().expect("undamaged machine synthesizes");
+        }
+        texts
     })
 }
 
@@ -88,6 +120,23 @@ fn decodes_without_panic(
     }
 }
 
+/// Parses `text` as KISS2 and synthesizes the machine when it parses,
+/// failing the property on a panic in either step; a syntax error must
+/// carry a line inside the text (0 for a file-level error).
+fn kiss_decodes_without_panic(text: &str) -> Result<(), TestCaseError> {
+    let decode = || kiss::parse(text).map(|fsm| fsm.to_network());
+    match catch_unwind(AssertUnwindSafe(decode)) {
+        Ok(Err(KissError::Syntax { line, .. })) => {
+            prop_assert!(line <= text.lines().count(), "line {line} outside the text");
+            Ok(())
+        }
+        Ok(_) => Ok(()),
+        Err(_) => Err(TestCaseError::fail(format!(
+            "kiss decoder panicked on {text:?}"
+        ))),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -102,6 +151,13 @@ proptest! {
     fn mutated_blif_text_never_panics(seed in any::<u64>(), edits in 1usize..6) {
         for text in &texts().1 {
             decodes_without_panic(blif::parse, &mutate(text, seed, edits))?;
+        }
+    }
+
+    #[test]
+    fn mutated_kiss_text_never_panics(seed in any::<u64>(), edits in 1usize..6) {
+        for text in kiss_texts() {
+            kiss_decodes_without_panic(&mutate(text, seed, edits))?;
         }
     }
 }

@@ -72,12 +72,9 @@
 //!
 //! `network` is inline `.bench`/`.blif` text (`format` optional — sniffed);
 //! `"source": "gen:figure3"` submits a built-in generator instead. `split`
-//! may be omitted only for generators with a canonical default. The
-//! throughput-only key `"image_jobs": 4` tunes the partitioned image
-//! computation without entering the result signature — a cached answer
-//! satisfies a request at any worker count. Unknown keys are ignored, so
-//! a body that still sends a since-removed tuning key solves exactly as
-//! one without it.
+//! may be omitted only for generators with a canonical default. Unknown
+//! keys are ignored, so a body that still sends a since-removed tuning
+//! key solves exactly as one without it.
 //!
 //! An identical request arriving while its twin is still in flight is
 //! **coalesced**: the ack carries the existing job id and

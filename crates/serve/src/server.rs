@@ -1965,12 +1965,6 @@ fn parse_solve_request(body: &str) -> Result<(InstanceSpec, ConfigSpec), String>
     if let Some(policy) = json.get("reorder").and_then(Json::as_str) {
         config = config.reorder(policy.parse().map_err(|e| format!("reorder: {e}"))?);
     }
-    // Throughput-only knob: deliberately OUTSIDE the cell signature, so a
-    // cached result answers a request no matter what worker count the
-    // client asked for.
-    if let Some(jobs) = json.get("image_jobs").and_then(Json::as_u64) {
-        config = config.image_jobs(jobs as usize);
-    }
     let mut limits = SolverLimits::default();
     if let Some(secs) = json.get("timeout").and_then(Json::as_u64) {
         limits.time_limit = Some(Duration::from_secs(secs));

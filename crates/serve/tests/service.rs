@@ -321,8 +321,10 @@ fn reorder_policy_is_part_of_the_cache_key() {
 
     // The same instance under reorder=none and reorder=sifting are
     // different experiments: the second submission must miss the cache.
+    // The first body also sends the removed `image_jobs` key, which is
+    // ignored like any unknown key.
     let plain = client
-        .submit_solve(&gen_request("gen:counter4"))
+        .submit_solve(&gen_request("gen:counter4").set("image_jobs", 4u64))
         .expect("plain accepted");
     let plain = client.wait(plain.job, POLL, WAIT).expect("plain finishes");
 
@@ -344,9 +346,14 @@ fn reorder_policy_is_part_of_the_cache_key() {
     assert_ne!(p.sig, s.sig, "signatures must differ");
     assert!(s.sig.contains("reorder=Sifting"), "{}", s.sig);
 
-    // Resubmitting the sifted config now hits its own cache entry.
+    // Resubmitting the sifted config now hits its own cache entry, and
+    // the plain body without the ignored key hits the first solve's.
     let again = client.submit_solve(&sifted_req).expect("resubmit");
     assert!(again.cached);
+    let again = client
+        .submit_solve(&gen_request("gen:counter4"))
+        .expect("plain resubmit");
+    assert!(again.cached, "an ignored key must not split the cache");
 
     // A bad policy string is a 400, not a solve.
     let err = client

@@ -6,6 +6,7 @@
 
 use langeq::prelude::*;
 use langeq_core::algorithm1;
+use langeq_image::ImageOptions;
 use langeq_logic::gen;
 
 /// Compares the partitioned and monolithic solvers; when `with_generic` is
@@ -101,6 +102,48 @@ fn small_random_controllers() {
     // seed/split; the wider sweep is `random_controllers_heavy`.
     let net = gen::random_controller(&gen::ControllerCfg::new("rc3", 3, 2, 2, 4));
     check(&net, &[3], false);
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// Chunk fusion changes evaluation order, never the answer: on small
+    /// random controllers, a cluster threshold low enough to make the
+    /// image layer fuse chunks gives the same solution as the default
+    /// threshold, under which these controllers never reach chunk fusion.
+    /// Some controllers' subset constructions run to tens of thousands of
+    /// states; both solves share a state bound and must then stop alike.
+    #[test]
+    fn chunk_fusion_never_changes_the_solution(seed in 0u64..1 << 32) {
+        let net = gen::random_controller(&gen::ControllerCfg::new("rcf", seed, 2, 2, 4));
+        let p = LatchSplitProblem::new(&net, &[3]).expect("split");
+        let solve = |image: ImageOptions| {
+            SolveRequest::partitioned()
+                .image_options(image)
+                .max_states(1000)
+                .run(&p.equation)
+                .into_result()
+        };
+        let plain = solve(ImageOptions::default());
+        let fused = solve(ImageOptions {
+            cluster_threshold: 8,
+            ..Default::default()
+        });
+        match (plain, fused) {
+            (Ok(plain), Ok(fused)) => {
+                proptest::prop_assert!(
+                    fused.prefix_closed.equivalent(&plain.prefix_closed),
+                    "seed {seed}: prefix-closed"
+                );
+                proptest::prop_assert!(fused.csf.equivalent(&plain.csf), "seed {seed}: CSF");
+            }
+            (plain, fused) => proptest::prop_assert_eq!(
+                plain.err(),
+                fused.err(),
+                "seed {seed}: only one solve hit the state bound"
+            ),
+        }
+    }
 }
 
 #[test]
