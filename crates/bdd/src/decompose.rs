@@ -6,10 +6,19 @@
 //! `(u, v)` variables ordered *above* the `ns` variables, the decomposition
 //! returns, for each distinct residual function `ξ'(ns)`, the BDD over
 //! `(u, v)` describing exactly the letters that lead to it.
+//!
+//! The walk descends only through nodes labelled by split variables and
+//! stops at the first node of each residual (its *root*), so it never
+//! enters the residual block: its cost is the split-variable part of `f`
+//! plus the guard conjunctions and disjunctions. The precondition is read
+//! off the same walk — everything under a residual root lies deeper than
+//! the root, so a deepest split level above every root reached proves it.
+//! Only when that quick test fails does the exact check walk `f`'s support.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use crate::inner::{Ref, ONE, ZERO};
+use crate::inner::{Inner, Ref, ONE, ZERO};
 use crate::manager::{Bdd, BddManager};
 use crate::VarId;
 
@@ -24,8 +33,9 @@ impl BddManager {
     /// * `f = ⋁ guardᵢ ∧ residualᵢ`,
     /// * residuals are distinct and never the zero function.
     ///
-    /// The decomposition is linear in the number of nodes of `f` (memoised
-    /// over subgraphs).
+    /// The cost is linear in the split-variable nodes of `f` (memoised over
+    /// subgraphs) plus the guard operations; the residuals' nodes are never
+    /// visited when the split variables sit above every residual root.
     ///
     /// # Panics
     ///
@@ -37,80 +47,135 @@ impl BddManager {
     /// between the alphabet block and the state block; see
     /// [`BddManager::set_reorder_fences`].)
     pub fn cofactor_classes(&self, f: &Bdd, split: &[VarId]) -> Vec<(Bdd, Bdd)> {
-        // Verify the prefix property, in live-level terms.
-        let support = self.support(f);
-        let max_split = support
-            .iter()
-            .filter(|v| split.contains(v))
-            .map(|&v| self.level_of(v))
-            .max();
-        let min_rest = support
-            .iter()
-            .filter(|v| !split.contains(v))
-            .map(|&v| self.level_of(v))
-            .min();
-        if let (Some(ms), Some(mr)) = (max_split, min_rest) {
+        let root = self.raw_of(f);
+        let classes = self.with_inner_pub(|inner| {
+            let mut walk = Walk::new(inner, split);
+            let run = walk.classes(inner, root);
+            if !walk.prefix_evident() {
+                walk.assert_split_prefix(inner, root);
+            }
+            walk.arena.truncate(run.end);
+            walk.arena.split_off(run.start)
+        });
+        classes
+            .into_iter()
+            .map(|(g, r)| (self.wrap_raw(g), self.wrap_raw(r)))
+            .collect()
+    }
+}
+
+/// The memo of one decomposition.
+struct Walk {
+    /// `in_split[v]`: variable `v` is a split variable.
+    in_split: Vec<bool>,
+    /// Every visited node's classes, each node's as one consecutive run of
+    /// `(guard, residual)` pairs.
+    arena: Vec<(Ref, Ref)>,
+    /// Split-labelled node → its run in `arena`.
+    memo: HashMap<Ref, Range<usize>>,
+    /// The deepest live level of a split variable the manager has.
+    deepest_split: Option<u32>,
+    /// The shallowest level of a non-terminal residual root reached.
+    shallowest_root: u32,
+}
+
+impl Walk {
+    fn new(inner: &Inner, split: &[VarId]) -> Self {
+        let mut in_split = vec![false; inner.nvars() as usize];
+        let mut deepest_split = None;
+        // Ids the manager does not have cannot occur in any function.
+        for v in split {
+            if let Some(slot) = in_split.get_mut(v.0 as usize) {
+                *slot = true;
+                deepest_split = deepest_split.max(Some(inner.level_of_var(v.0)));
+            }
+        }
+        Walk {
+            in_split,
+            arena: Vec::new(),
+            memo: HashMap::new(),
+            deepest_split,
+            shallowest_root: u32::MAX,
+        }
+    }
+
+    /// The classes of `f`, as a run in `arena`.
+    fn classes(&mut self, inner: &mut Inner, f: Ref) -> Range<usize> {
+        if f == ZERO {
+            return 0..0;
+        }
+        // `expand` is `None` only for the terminal.
+        let split_node = inner
+            .expand(f)
+            .filter(|&(var, _, _)| self.in_split[var as usize]);
+        let Some((var, hi, lo)) = split_node else {
+            // Whole remaining function is one residual class.
+            if f != ONE {
+                self.shallowest_root = self.shallowest_root.min(inner.level(f));
+            }
+            self.arena.push((ONE, f));
+            return self.arena.len() - 1..self.arena.len();
+        };
+        if let Some(run) = self.memo.get(&f) {
+            return run.clone();
+        }
+        let var_ref = inner.var_ref(var);
+        let hi_run = self.classes(inner, hi);
+        let lo_run = self.classes(inner, lo);
+        // Merge: guard' = var ? guard_hi : guard_lo, grouped by residual.
+        // Each child's residuals are distinct, so only a lo class can join
+        // a hi one; the hi classes keep their order, new lo ones follow.
+        let start = self.arena.len();
+        for k in hi_run {
+            let (g, r) = self.arena[k];
+            let guard = inner.and(var_ref, g);
+            if guard != ZERO {
+                self.arena.push((guard, r));
+            }
+        }
+        let hi_end = self.arena.len();
+        for k in lo_run {
+            let (g, r) = self.arena[k];
+            let guard = inner.and(var_ref ^ 1, g);
+            if guard == ZERO {
+                continue;
+            }
+            match self.arena[start..hi_end]
+                .iter_mut()
+                .find(|(_, res)| *res == r)
+            {
+                Some((acc, _)) => *acc = inner.or(*acc, guard),
+                None => self.arena.push((guard, r)),
+            }
+        }
+        let run = start..self.arena.len();
+        self.memo.insert(f, run.clone());
+        run
+    }
+
+    /// The quick precondition test: the deepest split variable lies above
+    /// every residual root the walk reached.
+    fn prefix_evident(&self) -> bool {
+        self.deepest_split
+            .is_none_or(|deepest| deepest < self.shallowest_root)
+    }
+
+    /// The exact precondition check over `f`'s support, in live-level
+    /// terms.
+    fn assert_split_prefix(&self, inner: &Inner, f: Ref) {
+        let support = inner.support(f);
+        let levels = |in_split: bool| {
+            support
+                .iter()
+                .filter(move |&&v| self.in_split[v as usize] == in_split)
+                .map(|&v| inner.level_of_var(v))
+        };
+        if let (Some(ms), Some(mr)) = (levels(true).max(), levels(false).min()) {
             assert!(
                 ms < mr,
                 "split variables must be ordered above residual variables"
             );
         }
-        let split_set: std::collections::HashSet<u32> = split.iter().map(|v| v.0).collect();
-
-        // memo: regular node ref -> vec of (guard_raw, residual_raw).
-        let mut memo: HashMap<Ref, Vec<(Ref, Ref)>> = HashMap::new();
-        let classes = {
-            self.with_inner_pub(|inner| {
-                fn walk(
-                    inner: &mut crate::inner::Inner,
-                    f: Ref,
-                    split: &std::collections::HashSet<u32>,
-                    memo: &mut HashMap<Ref, Vec<(Ref, Ref)>>,
-                ) -> Vec<(Ref, Ref)> {
-                    if f == ZERO {
-                        return Vec::new();
-                    }
-                    let top_in_split = f != ONE && split.contains(&inner.top_var(f));
-                    if !top_in_split {
-                        // Whole remaining function is one residual class.
-                        return vec![(ONE, f)];
-                    }
-                    if let Some(cached) = memo.get(&f) {
-                        return cached.clone();
-                    }
-                    // `expand` is `None` only for terminals, and both were
-                    // handled above — `f` still has a top variable here.
-                    let Some((var, hi, lo)) = inner.expand(f) else {
-                        return vec![(ONE, f)];
-                    };
-                    let var_ref = inner.var_ref(var);
-                    let hi_classes = walk(inner, hi, split, memo);
-                    let lo_classes = walk(inner, lo, split, memo);
-                    // Merge: guard' = var ? guard_hi : guard_lo, grouped by
-                    // residual.
-                    let mut grouped: Vec<(Ref, Ref)> = Vec::new();
-                    for (polarity, classes) in [(var_ref, hi_classes), (var_ref ^ 1, lo_classes)] {
-                        for (g, r) in classes {
-                            let guard = inner.and(polarity, g);
-                            if guard == ZERO {
-                                continue;
-                            }
-                            match grouped.iter_mut().find(|(_, res)| *res == r) {
-                                Some((acc, _)) => *acc = inner.or(*acc, guard),
-                                None => grouped.push((guard, r)),
-                            }
-                        }
-                    }
-                    memo.insert(f, grouped.clone());
-                    grouped
-                }
-                walk(inner, self.raw_of(f), &split_set, &mut memo)
-            })
-        };
-        classes
-            .into_iter()
-            .map(|(g, r)| (self.wrap_raw(g), self.wrap_raw(r)))
-            .collect()
     }
 }
 
@@ -184,6 +249,37 @@ mod tests {
         let u = mgr.new_var(); // above — but we split on u
         let f = x.and(&u);
         let _ = mgr.cofactor_classes(&f, &u.support());
+    }
+
+    /// Order u0 < x < u1, split {u0, u1}: u1 sits below the residual root
+    /// x, so the quick test fails and the exact check decides.
+    fn split_around_x() -> (BddManager, Bdd, Bdd, Bdd, [VarId; 2]) {
+        let mgr = BddManager::new();
+        let u0 = mgr.new_var();
+        let x = mgr.new_var();
+        let u1 = mgr.new_var();
+        let split = [u0.support()[0], u1.support()[0]];
+        (mgr, u0, x, u1, split)
+    }
+
+    #[test]
+    #[should_panic(expected = "split variables must be ordered above")]
+    fn split_var_under_a_residual_root_panics() {
+        let (mgr, u0, x, u1, split) = split_around_x();
+        let f = u0.and(&x).and(&u1);
+        let _ = mgr.cofactor_classes(&f, &split);
+    }
+
+    #[test]
+    fn split_var_outside_the_support_is_no_violation() {
+        // u1 is deeper than x but absent from f: the contract is over f's
+        // support.
+        let (mgr, u0, x, _u1, split) = split_around_x();
+        let f = u0.and(&x);
+        let classes = mgr.cofactor_classes(&f, &split);
+        assert_eq!(classes.len(), 1);
+        assert_eq!(classes[0].0, u0);
+        assert_eq!(classes[0].1, x);
     }
 
     #[test]

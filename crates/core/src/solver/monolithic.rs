@@ -13,16 +13,13 @@
 //! Every one of these steps can blow up; the node limit turns such blow-ups
 //! into faithful `CNC` outcomes, as in Table 1.
 
-use std::collections::{HashMap, VecDeque};
-
 use langeq_automata::{Automaton, StateId};
 use langeq_bdd::{Bdd, VarId};
 
 use crate::equation::LanguageEquation;
-use crate::solver::session::Session;
+use crate::solver::session::{Session, StateIndex};
 use crate::solver::{CncReason, MonolithicOptions, Solution};
 
-#[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run(
     eq: &LanguageEquation,
     _opts: &MonolithicOptions,
@@ -101,49 +98,36 @@ pub(crate) fn run(
         .chain([vars.csd])
         .collect();
     let cs_cube = mgr.positive_cube(&cs_all);
-    let ns_to_cs = vars.ns_to_cs_with_dc();
     // A product state is accepting for the determinized product D iff it
     // contains a (·, DC) pair — those become non-accepting in the final
     // complemented answer.
     let dc_marker = csd.clone();
 
     let mut aut = Automaton::new(&mgr, &uv);
-    let mut index: HashMap<Bdd, StateId> = HashMap::new();
-    let mut work: VecDeque<Bdd> = VecDeque::new();
-
-    let xi0 = eq.initial_product_cube().and(&csd.not());
     let s0 = aut.add_named_state(true, "xi0");
-    index.insert(xi0.clone(), s0);
     aut.set_initial(s0);
-    work.push_back(xi0);
+    let xi0 = eq.initial_product_cube().and(&csd.not());
+    let mut states = StateIndex::new(s0, xi0, vars.ns_to_cs_with_dc());
     let mut dca: Option<StateId> = None;
 
     let mut fixpoint_span = langeq_obs::span!("fixpoint");
-    while let Some(xi) = work.pop_front() {
-        sess.checkpoint(aut.num_states(), work.len() + 1)?;
-        let from = index[&xi];
+    while let Some((from, xi)) = states.work.pop_front() {
+        sess.checkpoint(aut.num_states(), states.work.len() + 1)?;
         // Monolithic image: one relational product against the full TR.
         let p = mgr.and_exists(&tr, &xi, &cs_cube);
         sess.note_image();
         let mut dom = mgr.zero();
         for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
             dom = dom.or(&guard);
-            let succ = succ_ns.rename(&ns_to_cs);
-            let to = match index.get(&succ) {
-                Some(&t) => t,
-                None => {
-                    // Accepting in the final answer iff the subset does NOT
-                    // contain the specification-complement's DC state.
-                    let contains_dc = !succ.and(&dc_marker).is_zero();
-                    let t = aut.add_named_state(
-                        !contains_dc,
-                        format!("xi{}{}", index.len(), if contains_dc { "+dc" } else { "" }),
-                    );
-                    index.insert(succ.clone(), t);
-                    work.push_back(succ);
-                    t
-                }
-            };
+            let to = states.intern(succ_ns, |succ, n| {
+                // Accepting in the final answer iff the subset does NOT
+                // contain the specification-complement's DC state.
+                let contains_dc = !succ.and(&dc_marker).is_zero();
+                aut.add_named_state(
+                    !contains_dc,
+                    format!("xi{n}{}", if contains_dc { "+dc" } else { "" }),
+                )
+            });
             aut.add_transition(from, guard, to);
         }
         let rest = dom.not();

@@ -5,9 +5,9 @@
 //! For every discovered subset state `ξ(cs)` (a BDD over the product state
 //! variables `cs = (cs_f, cs_s)`):
 //!
-//! * the **non-conformance condition** is computed one output at a time,
+//! * the **non-conformance condition** is one partitioned image,
 //!
-//!   `Qξ(u,v) = ⋁_j ∃ i,cs . [⋀_k u_k ≡ U_k] ∧ ¬C_j ∧ ξ(cs)`,
+//!   `Qξ(u,v) = ∃ i,cs . [⋀_k u_k ≡ U_k] ∧ ¬⋀_j C_j ∧ ξ(cs)`;
 //!
 //!   these `(u,v)` letters can reach the complemented specification's DC
 //!   state, so they are redirected to the non-accepting trap `DCN`
@@ -17,7 +17,8 @@
 //!   `Pξ(u,v,ns) = ∃ i,cs . [⋀ u≡U] ∧ [⋀ ns≡T] ∧ ξ(cs)`, restricted to
 //!   `¬Qξ`;
 //! * the distinct cofactors of `Pξ` over `(u,v)` are exactly the successor
-//!   subset states (`cofactor_classes`), renamed `ns → cs`;
+//!   subset states (`cofactor_classes`); they are interned in that `ns`
+//!   form, so only a newly discovered state is renamed `ns → cs`;
 //! * letters covered by neither go to the accepting completion trap `DCA`
 //!   (the deferred completion of `F`, justified by Theorem 1 of the
 //!   appendix).
@@ -27,6 +28,19 @@
 //! accepting/non-accepting interpretation is assigned directly (subset
 //! states and `DCA` accept; `DCN` rejects). `PrefixClose` and `Progressive`
 //! then carve out the Complete Sequential Flexibility.
+//!
+//! ## Qξ in one image
+//!
+//! The paper computes `Qξ` "one output at a time",
+//! `⋁_j ∃ i,cs . [⋀ u≡U] ∧ ¬C_j ∧ ξ`. Since `∃` distributes over `∨`,
+//! that is the same function as the single image above, which costs one
+//! early-quantified image per subset state instead of one per output. The
+//! conjunction `⋀_j C_j` is built once and stays small on every circuit
+//! measured: 1,580 nodes on sim_s349, 1,467 on sim_s526, at most 324 on
+//! the other Table-1 rows, at most 1,907 in the benchmark's `fixpoint`
+//! pool and 6,464 in its `relation` pool. So it is not split into groups:
+//! a split at the 1,000-node cluster threshold would cost sim_s349 and
+//! sim_s526 a second image per state.
 //!
 //! ## The untrimmed ablation
 //!
@@ -38,18 +52,14 @@
 //! explored rather than collapsed. This isolates the cost of the paper's
 //! prefix-closed trimming in the ablation benchmarks.
 
-use std::collections::{HashMap, VecDeque};
-
 use langeq_automata::{Automaton, StateId};
-use langeq_bdd::Bdd;
-use langeq_image::ImageComputer;
+use langeq_image::{ImageComputer, ImageOptions};
 
 use crate::equation::LanguageEquation;
-use crate::solver::session::Session;
+use crate::solver::session::{Session, StateIndex};
 use crate::solver::{CncReason, PartitionedOptions, Solution};
 
 /// The paper's flow: prefix-closed trimming via `Qξ` and the `DCN` trap.
-#[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run_trimmed(
     eq: &LanguageEquation,
     opts: &PartitionedOptions,
@@ -59,57 +69,34 @@ pub(crate) fn run_trimmed(
     let vars = &eq.vars;
     let uv = vars.uv();
     let quantify = vars.partitioned_quantify();
-    let ns_to_cs = vars.ns_to_cs();
     // ξ from-sets range over the product state vars; protect them from
     // compile-time elimination so the fused schedule applies to every call.
     let protect = vars.product_state_vars();
 
     // The partitioned relations, built once and reused for every ξ.
     let mut compile_span = langeq_obs::span!("compile");
-    let u_parts = eq.u_parts();
-    let mut pt_parts = u_parts.clone();
+    let mut pt_parts = eq.u_parts();
     pt_parts.extend(eq.product_transition_parts());
     let p_image = ImageComputer::with_protected(&mgr, &pt_parts, &quantify, &protect, opts.image);
-    // One image per output: Qξ is accumulated "one output at a time".
-    let q_images: Vec<ImageComputer> = eq
-        .conformance_parts()
-        .iter()
-        .map(|c| {
-            let mut parts = u_parts.clone();
-            parts.push(c.not());
-            ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, opts.image)
-        })
-        .collect();
+    let q_image = q_image(eq, opts.image);
     compile_span.field("partitions", pt_parts.len());
     drop(compile_span);
 
     let mut aut = Automaton::new(&mgr, &uv);
-    let mut index: HashMap<Bdd, StateId> = HashMap::new();
-    let mut work: VecDeque<Bdd> = VecDeque::new();
-
-    let xi0 = eq.initial_product_cube();
     let s0 = aut.add_named_state(true, "xi0");
-    index.insert(xi0.clone(), s0);
     aut.set_initial(s0);
-    work.push_back(xi0);
+    let mut states = StateIndex::new(s0, eq.initial_product_cube(), vars.ns_to_cs());
 
     let mut dcn: Option<StateId> = None;
     let mut dca: Option<StateId> = None;
 
     let mut fixpoint_span = langeq_obs::span!("fixpoint");
-    while let Some(xi) = work.pop_front() {
-        sess.checkpoint(aut.num_states(), work.len() + 1)?;
-        let from = index[&xi];
+    while let Some((from, xi)) = states.work.pop_front() {
+        sess.checkpoint(aut.num_states(), states.work.len() + 1)?;
 
-        // Non-conformance letters, one output at a time with early exit.
-        let mut q = mgr.zero();
-        for qi in &q_images {
-            q = q.or(&qi.image(&xi));
-            sess.note_image();
-            if q.is_one() {
-                break;
-            }
-        }
+        // Non-conformance letters.
+        let q = q_image.image(&xi);
+        sess.note_image();
 
         let p = p_image.image(&xi).and(&q.not());
         sess.note_image();
@@ -117,16 +104,7 @@ pub(crate) fn run_trimmed(
         let mut dom = mgr.zero();
         for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
             dom = dom.or(&guard);
-            let succ = succ_ns.rename(&ns_to_cs);
-            let to = match index.get(&succ) {
-                Some(&t) => t,
-                None => {
-                    let t = aut.add_named_state(true, format!("xi{}", index.len()));
-                    index.insert(succ.clone(), t);
-                    work.push_back(succ);
-                    t
-                }
-            };
+            let to = states.intern(succ_ns, |_, n| aut.add_named_state(true, format!("xi{n}")));
             aut.add_transition(from, guard, to);
         }
         // Letters that can mis-conform are redirected to the non-accepting
@@ -156,10 +134,25 @@ pub(crate) fn run_trimmed(
     sess.finish(eq, aut)
 }
 
+/// The non-conformance image of all outputs at once:
+/// `Qξ = ∃ i,cs . [⋀ u≡U] ∧ ¬⋀_j C_j ∧ ξ`.
+fn q_image(eq: &LanguageEquation, image: ImageOptions) -> ImageComputer {
+    let mgr = eq.manager();
+    let vars = &eq.vars;
+    let mut parts = eq.u_parts();
+    parts.push(mgr.and_all(&eq.conformance_parts()).not());
+    ImageComputer::with_protected(
+        mgr,
+        &parts,
+        &vars.partitioned_quantify(),
+        &vars.product_state_vars(),
+        image,
+    )
+}
+
 /// The untrimmed ablation: traditional subset construction over the product
 /// with the **completed** specification (extra `csd` bit), still driven by
 /// partitioned images. Language-identical to the monolithic flow.
-#[allow(clippy::mutable_key_type)] // Bdd hashing is by stable node id
 pub(crate) fn run_untrimmed(
     eq: &LanguageEquation,
     opts: &PartitionedOptions,
@@ -190,46 +183,33 @@ pub(crate) fn run_untrimmed(
     let mut protect = vars.product_state_vars();
     protect.push(vars.csd);
     let p_image = ImageComputer::with_protected(&mgr, &parts, &quantify, &protect, opts.image);
-    let ns_to_cs = vars.ns_to_cs_with_dc();
     compile_span.field("partitions", parts.len());
     drop(compile_span);
 
     let mut aut = Automaton::new(&mgr, &uv);
-    let mut index: HashMap<Bdd, StateId> = HashMap::new();
-    let mut work: VecDeque<Bdd> = VecDeque::new();
-
-    let xi0 = eq.initial_product_cube().and(&csd.not());
     let s0 = aut.add_named_state(true, "xi0");
-    index.insert(xi0.clone(), s0);
     aut.set_initial(s0);
-    work.push_back(xi0);
+    let xi0 = eq.initial_product_cube().and(&csd.not());
+    let mut states = StateIndex::new(s0, xi0, vars.ns_to_cs_with_dc());
     let mut dca: Option<StateId> = None;
 
     let mut fixpoint_span = langeq_obs::span!("fixpoint");
-    while let Some(xi) = work.pop_front() {
-        sess.checkpoint(aut.num_states(), work.len() + 1)?;
-        let from = index[&xi];
+    while let Some((from, xi)) = states.work.pop_front() {
+        sess.checkpoint(aut.num_states(), states.work.len() + 1)?;
         let p = p_image.image(&xi);
         sess.note_image();
         let mut dom = mgr.zero();
         for (guard, succ_ns) in mgr.cofactor_classes(&p, &uv) {
             dom = dom.or(&guard);
-            let succ = succ_ns.rename(&ns_to_cs);
-            let to = match index.get(&succ) {
-                Some(&t) => t,
-                None => {
-                    // Accepting in the complemented answer iff the subset
-                    // contains no DC-paired product state.
-                    let contains_dc = !succ.and(&csd).is_zero();
-                    let t = aut.add_named_state(
-                        !contains_dc,
-                        format!("xi{}{}", index.len(), if contains_dc { "+dc" } else { "" }),
-                    );
-                    index.insert(succ.clone(), t);
-                    work.push_back(succ);
-                    t
-                }
-            };
+            let to = states.intern(succ_ns, |succ, n| {
+                // Accepting in the complemented answer iff the subset
+                // contains no DC-paired product state.
+                let contains_dc = !succ.and(&csd).is_zero();
+                aut.add_named_state(
+                    !contains_dc,
+                    format!("xi{n}{}", if contains_dc { "+dc" } else { "" }),
+                )
+            });
             aut.add_transition(from, guard, to);
         }
         let rest = dom.not();
@@ -252,7 +232,89 @@ mod tests {
     use super::*;
     use crate::equation::LatchSplitProblem;
     use crate::solver::{Outcome, SolveRequest};
+    use langeq_bdd::Bdd;
     use langeq_logic::gen;
+    use proptest::prelude::*;
+
+    /// The paper's per-output form, `⋁_j ∃ i,cs . [⋀ u≡U] ∧ ¬C_j ∧ ξ`,
+    /// computed without the image layer.
+    fn q_per_output(eq: &LanguageEquation, xi: &Bdd) -> Bdd {
+        let mgr = eq.manager();
+        let u_rel = mgr.and_all(&eq.u_parts()).and(xi);
+        let quantify = eq.vars.partitioned_quantify();
+        let per_output: Vec<Bdd> = eq
+            .conformance_parts()
+            .iter()
+            .map(|c| u_rel.and(&c.not()).exists(&quantify))
+            .collect();
+        mgr.or_all(&per_output)
+    }
+
+    /// The union of `count` cubes over the product state variables; cube
+    /// `k` takes its literals from bits `16k..` of `values` and `care`.
+    fn random_subset(eq: &LanguageEquation, count: usize, values: u64, care: u64) -> Bdd {
+        let state = eq.vars.product_state_vars();
+        assert!(state.len() <= 16, "16 bits per cube");
+        let cubes: Vec<Bdd> = (0..count)
+            .map(|k| {
+                let lits: Vec<_> = state
+                    .iter()
+                    .enumerate()
+                    .filter(|&(b, _)| care >> (16 * k + b) & 1 == 1)
+                    .map(|(b, &v)| (v, values >> (16 * k + b) & 1 == 1))
+                    .collect();
+                eq.manager().cube(&lits)
+            })
+            .collect();
+        eq.manager().or_all(&cubes)
+    }
+
+    /// The solver's one-image Qξ equals the per-output union on the
+    /// initial subset and on one random subset.
+    fn check_q(
+        p: &LatchSplitProblem,
+        count: usize,
+        values: u64,
+        care: u64,
+    ) -> Result<(), TestCaseError> {
+        let eq = &p.equation;
+        let image = q_image(eq, ImageOptions::default());
+        for xi in [
+            eq.initial_product_cube(),
+            random_subset(eq, count, values, care),
+        ] {
+            prop_assert!(image.image(&xi) == q_per_output(eq, &xi));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn one_image_q_equals_per_output_q_on_random_controllers(
+            seed in 0u64..1 << 32,
+            count in 1usize..5,
+            values in any::<u64>(),
+            care in any::<u64>(),
+        ) {
+            let net = gen::random_controller(&gen::ControllerCfg::new("rcq", seed, 2, 2, 3));
+            let p = LatchSplitProblem::new(&net, &[2]).expect("split");
+            check_q(&p, count, values, care)?;
+        }
+
+        #[test]
+        fn one_image_q_equals_per_output_q_on_figure3(
+            split in 0usize..3,
+            count in 1usize..5,
+            values in any::<u64>(),
+            care in any::<u64>(),
+        ) {
+            let unknown = [&[0usize][..], &[1], &[0, 1]][split];
+            let p = LatchSplitProblem::new(&gen::figure3(), unknown).expect("split");
+            check_q(&p, count, values, care)?;
+        }
+    }
 
     fn solve_figure3_problem(p: &LatchSplitProblem, trim: bool) -> Solution {
         match SolveRequest::partitioned().trim_dcn(trim).run(&p.equation) {

@@ -10,11 +10,16 @@
 //! so the manager is immediately reusable, which the old
 //! `catch_unwind`-based machinery could only promise after a panic had
 //! propagated through every stack frame.
+//!
+//! Every subset-construction loop also keeps its discovered states in a
+//! [`StateIndex`].
 
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use langeq_automata::Automaton;
-use langeq_bdd::{AbortReason, BddManager, ReorderPolicy};
+use langeq_automata::{Automaton, StateId};
+use langeq_bdd::{AbortReason, Bdd, BddManager, ReorderPolicy, VarId};
 
 use crate::equation::LanguageEquation;
 use crate::solver::control::{Control, SolveEvent};
@@ -199,6 +204,53 @@ impl Drop for Session<'_> {
             // An abort fired after the last `ensure_clean`; reclaim its
             // garbage so the manager hands back clean.
             self.mgr.collect_garbage();
+        }
+    }
+}
+
+/// The subset states discovered so far, keyed by their next-state form —
+/// exactly as [`BddManager::cofactor_classes`] returns a successor — and
+/// the worklist of states still to expand, in current-state form.
+///
+/// A successor that is already known costs one hash lookup; only a new one
+/// is renamed `ns → cs`, once.
+pub(crate) struct StateIndex {
+    ns_to_cs: Vec<(VarId, VarId)>,
+    index: HashMap<Bdd, StateId>,
+    /// States still to expand: `(state, ξ over cs)`.
+    pub(crate) work: VecDeque<(StateId, Bdd)>,
+}
+
+impl StateIndex {
+    /// Seeds the index with the initial state `s0`, whose subset `xi0` is
+    /// over the current-state variables: one `cs → ns` rename keys it.
+    pub(crate) fn new(s0: StateId, xi0: Bdd, ns_to_cs: Vec<(VarId, VarId)>) -> Self {
+        let cs_to_ns: Vec<(VarId, VarId)> = ns_to_cs.iter().map(|&(n, c)| (c, n)).collect();
+        StateIndex {
+            ns_to_cs,
+            index: HashMap::from([(xi0.rename(&cs_to_ns), s0)]),
+            work: VecDeque::from([(s0, xi0)]),
+        }
+    }
+
+    /// The state of the successor subset `succ_ns`. A new one is renamed to
+    /// current-state form, created by `add(&succ_cs, n)` with `n` the number
+    /// of states discovered before it, and queued.
+    pub(crate) fn intern(
+        &mut self,
+        succ_ns: Bdd,
+        add: impl FnOnce(&Bdd, usize) -> StateId,
+    ) -> StateId {
+        let n = self.index.len();
+        match self.index.entry(succ_ns) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let succ = e.key().rename(&self.ns_to_cs);
+                let t = add(&succ, n);
+                e.insert(t);
+                self.work.push_back((t, succ));
+                t
+            }
         }
     }
 }

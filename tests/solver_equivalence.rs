@@ -146,6 +146,37 @@ proptest::proptest! {
     }
 }
 
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// The paper's flow against the traditional one on small random
+    /// controllers. The monolithic subset construction explores subsets the
+    /// trimmed one collapses, so it gets a larger state bound; a case where
+    /// it still hits that bound has nothing to compare.
+    #[test]
+    fn partitioned_equals_monolithic_on_random_controllers(seed in 0u64..1 << 32) {
+        let net = gen::random_controller(&gen::ControllerCfg::new("rcm", seed, 2, 2, 3));
+        let p = LatchSplitProblem::new(&net, &[2]).expect("split");
+        let part = SolveRequest::partitioned()
+            .max_states(1000)
+            .run(&p.equation)
+            .into_result()
+            .expect("partitioned solves");
+        match SolveRequest::monolithic().max_states(4000).run(&p.equation) {
+            Outcome::Solved(mono) => {
+                proptest::prop_assert!(
+                    part.prefix_closed.equivalent(&mono.prefix_closed),
+                    "seed {seed}: prefix-closed"
+                );
+                proptest::prop_assert!(part.csf.equivalent(&mono.csf), "seed {seed}: CSF");
+            }
+            Outcome::Cnc(reason) => {
+                proptest::prop_assert_eq!(reason, CncReason::StateLimit(4000), "seed {seed}")
+            }
+        }
+    }
+}
+
 #[test]
 #[ignore = "takes minutes in debug builds; run with --ignored (ideally --release)"]
 fn random_controllers_heavy() {
