@@ -14,8 +14,9 @@
 //! ```
 //!
 //! Each `.trans` line contributes one cube; multiple lines between the same
-//! state pair union their cubes. Writing enumerates the label BDDs as
-//! disjoint cubes, so `write` → `parse` reproduces the language exactly.
+//! state pair union their cubes into one transition. Writing enumerates the
+//! label BDDs as disjoint cubes, so `write` → `parse` reproduces the
+//! language exactly.
 
 use std::collections::HashMap;
 
@@ -206,6 +207,10 @@ pub fn parse(
     for (s, n) in names {
         aut.set_state_name(StateId(s), n);
     }
+    // The cubes of one (from, to) pair become one transition, in order of
+    // first appearance, so a written guard reloads as one label.
+    let mut pairs: Vec<(u32, u32, Bdd)> = Vec::new();
+    let mut slot: HashMap<(u32, u32), usize> = HashMap::new();
     for (from, cube_text, to) in trans {
         if from as usize >= num_states || to as usize >= num_states {
             return Err(FormatError {
@@ -217,6 +222,15 @@ pub fn parse(
             line: 0,
             msg: format!("bad cube `{cube_text}`"),
         })?;
+        match slot.get(&(from, to)) {
+            Some(&k) => pairs[k].2 = pairs[k].2.or(&label),
+            None => {
+                slot.insert((from, to), pairs.len());
+                pairs.push((from, to, label));
+            }
+        }
+    }
+    for (from, to, label) in pairs {
         aut.add_transition(StateId(from), label, StateId(to));
     }
     if let Some(i) = initial {
@@ -275,6 +289,52 @@ mod tests {
         assert_eq!(back.num_states(), aut.num_states());
         for w in 0..40u64 {
             let word = random_word(w, 4, vars.len());
+            assert_eq!(aut.accepts(&word), back.accepts(&word), "word seed {w}");
+        }
+    }
+
+    #[test]
+    fn multi_cube_guards_reload_as_one_transition() {
+        let mgr = BddManager::new();
+        let (raw, vars) = generate(
+            &mgr,
+            RandomAutomaton {
+                seed: 7,
+                num_states: 6,
+                num_vars: 3,
+                density: 6,
+                accepting_pct: 50,
+            },
+        );
+        // One transition per (from, to) pair, its guard the union of the
+        // generated labels.
+        let mut aut = Automaton::new(&mgr, raw.alphabet());
+        for s in 0..raw.num_states() {
+            aut.add_state(raw.is_accepting(StateId(s as u32)));
+        }
+        aut.set_initial(StateId(0));
+        for s in 0..raw.num_states() {
+            let mut guards: Vec<(StateId, Bdd)> = Vec::new();
+            for (label, to) in raw.transitions_from(StateId(s as u32)) {
+                match guards.iter_mut().find(|(t, _)| t == to) {
+                    Some((_, guard)) => *guard = guard.or(label),
+                    None => guards.push((*to, label.clone())),
+                }
+            }
+            for (to, guard) in guards {
+                aut.add_transition(StateId(s as u32), guard, to);
+            }
+        }
+        let text = write(&aut, &HashMap::new());
+        assert!(
+            text.matches(".trans").count() > aut.num_transitions(),
+            "some guard must span several cubes"
+        );
+        let mgr2 = BddManager::new();
+        let (back, _) = parse(&mgr2, &text).expect("round trip parses");
+        assert_eq!(back.num_transitions(), aut.num_transitions());
+        for w in 0..200u64 {
+            let word = random_word(w, 1 + (w % 6) as usize, vars.len());
             assert_eq!(aut.accepts(&word), back.accepts(&word), "word seed {w}");
         }
     }

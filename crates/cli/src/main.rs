@@ -96,6 +96,12 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
+    // Every command but the daemon ends quietly once its stdout closes;
+    // `serve` keeps SIGPIPE ignored, so a client that hangs up mid-response
+    // can never kill it.
+    if cmd != "serve" {
+        sigint::default_sigpipe();
+    }
     let result = match cmd.as_str() {
         "info" => commands::net::info(rest),
         "convert" => commands::net::convert(rest),

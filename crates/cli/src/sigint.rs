@@ -1,4 +1,4 @@
-//! Ctrl-C → [`CancelToken`] bridge.
+//! Ctrl-C → [`CancelToken`] bridge, and SIGPIPE's default disposition.
 //!
 //! The first SIGINT cancels the current solve cooperatively (the solver
 //! returns a CNC outcome and the process exits through the normal error
@@ -34,8 +34,28 @@ pub fn install() -> CancelToken {
     token
 }
 
+/// Restores SIGPIPE's default disposition, which the Rust runtime sets to
+/// "ignore": a command whose stdout reader goes away (`langeq info x.aut |
+/// head -1`) then ends quietly, as a Unix filter does, instead of
+/// panicking in `println!`. A no-op on non-Unix targets.
+pub fn default_sigpipe() {
+    #[cfg(unix)]
+    // SAFETY: resetting a disposition to `SIG_DFL` installs no handler, so
+    // no code runs in signal context; `main` calls this before any thread
+    // starts.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
 #[cfg(unix)]
 const SIGINT: i32 = 2;
+
+#[cfg(unix)]
+const SIGPIPE: i32 = 13;
+
+#[cfg(unix)]
+const SIG_DFL: usize = 0;
 
 #[cfg(unix)]
 extern "C" {

@@ -2,8 +2,9 @@
 //! against real files in a scratch directory, checking outputs, round trips
 //! and exit codes.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn langeq(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_langeq"))
@@ -109,6 +110,36 @@ fn stg_emits_figure3_automaton() {
     let info = stdout(&out);
     assert!(info.contains("deterministic  true"), "{info}");
     assert!(info.contains("complete       false"), "{info}");
+}
+
+#[test]
+fn info_ends_quietly_when_stdout_closes() {
+    let dir = scratch("epipe");
+    // One state with 2,048 disjoint guards: `info` prints its first lines,
+    // then spends about a second on the pairwise determinism check, so
+    // the reader below is gone before the remaining lines are written.
+    let mut text =
+        String::from(".aut\n.alphabet a b c d e f g h i j k\n.states 2049\n.initial 0\n");
+    for k in 0..2048 {
+        text.push_str(&format!(".trans 0 {k:011b} {}\n", k + 1));
+    }
+    text.push_str(".end\n");
+    std::fs::write(dir.join("star.aut"), text).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_langeq"))
+        .current_dir(&dir)
+        .args(["info", "star.aut"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("automaton"), "{first}");
+    // The reader is dropped: stdout is closed.
+    let out = child.wait_with_output().expect("langeq exits");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
 
 #[test]

@@ -14,6 +14,17 @@
 //! `POST /v1/jobs/{id}/cancel` aborts exactly one job cooperatively, and a
 //! server drain (Ctrl-C) fires every job token at once.
 //!
+//! ## Accepting and draining
+//!
+//! The accept loop blocks in `accept` and hands each connection to a
+//! short-lived handler thread, so a request is picked up the moment it
+//! arrives. One **drain watcher** thread polls the drain token every 25 ms,
+//! whoever fires it: SIGINT through [`ServeOptions::cancel_token`],
+//! [`Server::shutdown`], or any holder of [`Server::token`]. Once it fires,
+//! the watcher cancels every per-job token (in-flight solves return
+//! `CNC: cancelled`), wakes the workers, and connects once to the listener
+//! itself so the blocked `accept` returns and sees the drain.
+//!
 //! ## The cache, and the fleet
 //!
 //! Results are keyed by [`langeq_core::sig::cell_signature`] — the same
@@ -39,7 +50,7 @@
 //! onto the in-flight job instead of solving twice.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -263,8 +274,10 @@ impl ServeOptions {
         self
     }
 
-    /// The drain token: cancelling it stops the accept loop, cancels every
-    /// in-flight solve cooperatively, and lets [`Server::wait`] return.
+    /// The drain token (`langeq serve` passes its SIGINT token). Within
+    /// 25 ms of it firing, the drain watcher cancels every in-flight solve
+    /// cooperatively and wakes the accept loop, and [`Server::wait`]
+    /// returns once every thread has drained.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.token = token;
         self
@@ -312,8 +325,8 @@ struct Job {
     state: JobState,
     /// Answered entirely from the cache at submission time.
     cached: bool,
-    /// Per-job cancellation: `POST /v1/jobs/{id}/cancel` fires it, and a
-    /// server drain fires every job's token. The cells execute under this
+    /// Per-job cancellation: `POST /v1/jobs/{id}/cancel` fires it, and the
+    /// drain watcher fires every job's token. The cells execute under this
     /// token, so one job can be cancelled without touching its neighbours.
     token: CancelToken,
     /// True once the cancel endpoint hit this job (for status bodies).
@@ -614,8 +627,9 @@ struct Shared {
     slow: Option<(u64, SlowLog)>,
 }
 
-/// A running service instance. Dropping without [`Server::shutdown`] leaks
-/// the threads until the token is cancelled elsewhere; the CLI keeps the
+/// A running service instance. Dropping without [`Server::shutdown`]
+/// detaches its threads: they keep serving until the drain token fires
+/// elsewhere, and then the drain watcher winds them down. The CLI keeps the
 /// server alive for its whole lifetime, tests call `shutdown`.
 pub struct Server {
     shared: Arc<Shared>,
@@ -627,7 +641,8 @@ pub struct Server {
 
 impl Server {
     /// Binds, opens the store and warms the cache from it, builds the peer
-    /// ring, and spawns the accept loop plus the worker pool.
+    /// ring, and spawns the accept loop, the drain watcher and the worker
+    /// pool.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
         #[cfg(feature = "fault-inject")]
         let faults = opts.faults.clone();
@@ -650,7 +665,6 @@ impl Server {
             ..
         } = opts;
         let listener = TcpListener::bind(&addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let mut store: Option<Box<dyn JournalStore>> = match (store, store_dir, cache_journal) {
@@ -731,6 +745,10 @@ impl Server {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || accept_loop(&shared, listener)));
         }
+        {
+            let shared = Arc::clone(&shared);
+            threads.push(std::thread::spawn(move || drain_watcher(&shared, addr)));
+        }
         if let Some(health) = health {
             // Seed the probe jitter from the advertised address so every
             // fleet member walks a different (but reproducible) schedule.
@@ -770,20 +788,11 @@ impl Server {
         }
     }
 
-    /// Cancels the token and drains: in-flight solves return
-    /// `CNC: cancelled` cooperatively, queued jobs finish as cancelled
-    /// without being attempted, the accept loop stops.
+    /// Cancels the token and waits for the drain the watcher then runs:
+    /// in-flight solves return `CNC: cancelled` cooperatively, queued jobs
+    /// finish as cancelled without being attempted, the accept loop stops.
     pub fn shutdown(self) {
         self.shared.token.cancel();
-        // Fan the drain out to every per-job token: in-flight solves abort
-        // cooperatively, queued jobs start pre-cancelled.
-        {
-            let state = lock_ok(&self.shared.state);
-            for job in state.jobs.values() {
-                job.token.cancel();
-            }
-        }
-        self.shared.work.notify_all();
         self.wait();
     }
 }
@@ -796,11 +805,16 @@ fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The accept loop: non-blocking accepts polled against the drain token,
-/// one short-lived handler thread per connection.
+/// The accept loop: blocking accepts, one short-lived handler thread per
+/// connection. The drain token is checked after every return of `accept`;
+/// the drain watcher's self-connect makes sure one comes once it fires.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    while !shared.token.is_cancelled() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.token.is_cancelled() {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
                 // Shed load once the handler-thread budget is spent — the
                 // job queue bounds accepted *work*, this bounds *threads*.
@@ -822,14 +836,36 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                     handle_connection(&shared, stream);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // Back off on accept errors (EMFILE and the like), so running
+            // out of file descriptors cannot make the loop spin.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
-    // Wake the workers so they notice the cancellation promptly.
+}
+
+/// The drain watcher (module docs): once the drain token fires, it fires
+/// every per-job token, so in-flight solves abort and queued jobs start
+/// pre-cancelled, wakes the workers, and wakes the accept loop.
+fn drain_watcher(shared: &Arc<Shared>, addr: SocketAddr) {
+    while !shared.token.is_cancelled() {
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    {
+        let state = lock_ok(&shared.state);
+        for job in state.jobs.values() {
+            job.token.cancel();
+        }
+    }
     shared.work.notify_all();
+    // A listener bound to the unspecified address is reached on loopback.
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
 }
 
 /// One connection = one request = one response.

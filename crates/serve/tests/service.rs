@@ -6,9 +6,11 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use langeq_core::{CellReport, ConfigSpec, InstanceSpec, SolverKind, SuiteOptions, SuitePlan};
+use langeq_core::{
+    CancelToken, CellReport, ConfigSpec, InstanceSpec, SolverKind, SuiteOptions, SuitePlan,
+};
 use langeq_report::Json;
 use langeq_serve::{Client, ServeOptions, Server};
 
@@ -224,36 +226,81 @@ fn malformed_and_oversized_requests_are_rejected() {
 
 #[test]
 fn full_queue_answers_429_and_shutdown_drains() {
-    let (server, client) = start(ServeOptions::new().jobs(1).queue_cap(1));
+    // Both ways a drain starts: `Server::shutdown`, and a token handed in
+    // at start (the one SIGINT fires under `langeq serve`).
+    for via_token in [false, true] {
+        let token = CancelToken::new();
+        let (server, client) = start(
+            ServeOptions::new()
+                .jobs(1)
+                .queue_cap(1)
+                .cancel_token(token.clone()),
+        );
 
-    // Occupy the single worker with a solve too large to finish here
-    // (cooperative cancellation reels it back in at shutdown).
-    let slow = client
-        .submit_solve(&gen_request("gen:counter20"))
-        .expect("slow job accepted");
-    while client
-        .job_status(slow.job)
-        .unwrap()
-        .get("state")
-        .and_then(Json::as_str)
-        != Some("running")
-    {
-        std::thread::sleep(POLL);
+        // Occupy the single worker with a solve too large to finish here
+        // (cooperative cancellation reels it back in at the drain).
+        let slow = client
+            .submit_solve(&gen_request("gen:counter20"))
+            .expect("slow job accepted");
+        while client
+            .job_status(slow.job)
+            .unwrap()
+            .get("state")
+            .and_then(Json::as_str)
+            != Some("running")
+        {
+            std::thread::sleep(POLL);
+        }
+
+        // One slot in the queue…
+        let queued = client.submit_solve(&gen_request("gen:counter4")).unwrap();
+        assert_eq!(queued.state, "queued");
+        // …and the next distinct submission bounces with 429.
+        let err = client
+            .submit_solve(&gen_request("gen:counter5"))
+            .expect_err("backpressure");
+        let text = err.to_string();
+        assert!(text.contains("429"), "{text}");
+        assert_eq!(client.metric("langeq_rejected_full_total").unwrap(), 1);
+
+        // Drain: the running cell cancels cooperatively, the queued job
+        // drains, and the server winds down instead of running the
+        // 2^20-state solve to the end. A helper thread waits, so a drain
+        // that hangs fails the test instead of hanging it.
+        let (done, drained) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            if via_token {
+                token.cancel();
+                server.wait();
+            } else {
+                server.shutdown();
+            }
+            let _ = done.send(());
+        });
+        drained
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("drain (via token: {via_token}) took over 10 s"));
     }
+}
 
-    // One slot in the queue…
-    let queued = client.submit_solve(&gen_request("gen:counter4")).unwrap();
-    assert_eq!(queued.state, "queued");
-    // …and the next distinct submission bounces with 429.
-    let err = client
-        .submit_solve(&gen_request("gen:counter5"))
-        .expect_err("backpressure");
-    let text = err.to_string();
-    assert!(text.contains("429"), "{text}");
-    assert_eq!(client.metric("langeq_rejected_full_total").unwrap(), 1);
-
-    // Drain: the running cell cancels cooperatively, the queued job drains,
-    // and shutdown returns instead of hanging on the 2^20-state solve.
+#[test]
+fn accept_answers_without_a_polling_delay() {
+    // The accept loop blocks in `accept`, so a request is served as soon
+    // as it arrives; a loop that polled a non-blocking listener would add
+    // its sleep to every round trip.
+    let (server, _client) = start(ServeOptions::new().jobs(1));
+    let addr = server.addr().to_string();
+    let t0 = Instant::now();
+    for _ in 0..40 {
+        let (status, _) =
+            langeq_serve::http::call(&addr, "GET", "/readyz", "text/plain", b"").unwrap();
+        assert_eq!(status, 200);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 sequential /readyz round trips took {elapsed:?}"
+    );
     server.shutdown();
 }
 
